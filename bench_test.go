@@ -424,7 +424,7 @@ func BenchmarkMicroReplicateTable(b *testing.B) {
 // perf bench target exists to catch, and AllocsPerRun catches it without
 // wall-clock noise.
 func TestHotPathZeroAlloc(t *testing.T) {
-	testHotPathZeroAlloc(t, nil)
+	testHotPathZeroAlloc(t, translate.Spec{})
 }
 
 // TestHotPathZeroAllocBackends extends the allocation-free contract to
@@ -434,12 +434,12 @@ func TestHotPathZeroAlloc(t *testing.T) {
 func TestHotPathZeroAllocBackends(t *testing.T) {
 	for _, name := range []string{translate.BackendX8664LA57, translate.BackendVictima} {
 		t.Run(name, func(t *testing.T) {
-			testHotPathZeroAlloc(t, &translate.Spec{Backend: name})
+			testHotPathZeroAlloc(t, translate.Spec{Backend: name})
 		})
 	}
 }
 
-func testHotPathZeroAlloc(t *testing.T, hardware *translate.Spec) {
+func testHotPathZeroAlloc(t *testing.T, hardware translate.Spec) {
 	k := kernel.New(kernel.Config{FramesPerNode: 1 << 16, Hardware: hardware})
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "zeroalloc", Home: 0})
 	if err != nil {

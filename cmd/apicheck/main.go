@@ -129,7 +129,8 @@ func renderDecl(fset *token.FileSet, d ast.Decl) []string {
 					typ = " " + render(fset, s.Type)
 				}
 				// Values are part of the surface: changing ScenarioVersion
-				// or AllSockets is a break the gate must catch.
+				// or a backend name such as HardwareX8664 is a break the
+				// gate must catch.
 				val := ""
 				if len(s.Values) > 0 {
 					var vs []string

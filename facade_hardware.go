@@ -197,36 +197,6 @@ func (h HardwareSpec) translateSpec() translate.Spec {
 	return ts
 }
 
-// effectiveHardware resolves a normalized machine config's hardware
-// selection, folding the legacy FiveLevel switch in: five_level with no
-// hardware string selects the LA57 backend; five_level with an explicit
-// 4-level backend is a contradiction and errors. The zero return spec
-// (Backend "") means "legacy default path": 4-level x8664 with the
-// kernel's default geometry.
-func effectiveHardware(c SystemConfig) (HardwareSpec, error) {
-	h, err := ParseHardware(c.Hardware)
-	if err != nil {
-		return HardwareSpec{}, err
-	}
-	if c.FiveLevel {
-		switch h.Backend {
-		case "":
-			if c.Hardware != "" {
-				// Unreachable today (a non-empty string always names a
-				// backend) — kept as a guard for future forms.
-				return HardwareSpec{}, fmt.Errorf("hardware %q: five_level set without a 5-level backend", c.Hardware)
-			}
-			h.Backend = HardwareX8664LA57
-		case HardwareX8664LA57:
-			// Redundant but consistent.
-		default:
-			return HardwareSpec{}, fmt.Errorf("hardware %q is 4-level but machine sets five_level; use %q or drop five_level",
-				h.Backend, HardwareX8664LA57)
-		}
-	}
-	return h, nil
-}
-
 // HardwareInfo describes the translation hardware a run executed on —
 // the geometry echo RunResult carries so BENCH records are
 // self-describing. It is informational: replay comparison ignores it.

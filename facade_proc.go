@@ -10,54 +10,10 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
 
-// AllSockets schedules a process with one worker core on every socket.
-//
-// Deprecated: it exists for ProcessConfig.Sockets; ProcSpec expresses "all
-// sockets" as an empty Placement.Sockets list.
-const AllSockets = -1
-
-// ProcessConfig configures Launch.
-//
-// Deprecated: use Spawn with a ProcSpec. The Sockets field conflates "run
-// on socket N" with "default" — a single-socket process cannot explicitly
-// select socket 0, because 0 is the default — and AllSockets is a magic
-// value. ProcSpec.Placement.Sockets is an explicit list instead ([]int{0}
-// means socket 0; empty means every socket). Launch remains as a shim.
-type ProcessConfig struct {
-	// Name labels the process.
-	Name string
-	// Sockets is the socket to run on, or AllSockets for one worker per
-	// socket (the multi-socket scenario). Zero means socket 0 — the
-	// ambiguity ProcSpec removes.
-	Sockets int
-	// Interleave selects interleaved data placement instead of
-	// first-touch.
-	Interleave bool
-}
-
 // Proc is a running simulated process.
 type Proc struct {
 	sys *System
 	p   *kernel.Process
-}
-
-// Launch creates and schedules a process.
-//
-// Deprecated: use Spawn with a ProcSpec; Launch converts its ProcessConfig
-// into one.
-func (s *System) Launch(cfg ProcessConfig) (*Proc, error) {
-	spec := ProcSpec{Name: cfg.Name}
-	if cfg.Sockets != AllSockets {
-		sock := cfg.Sockets
-		if sock < 0 {
-			sock = 0
-		}
-		spec.Placement.Sockets = []int{sock}
-	}
-	if cfg.Interleave {
-		spec.Placement.Data = PlaceInterleave
-	}
-	return s.Spawn(spec)
 }
 
 // Spawn creates and schedules a process from a ProcSpec's name and
@@ -247,26 +203,12 @@ func (pr *Proc) CollapseReplicas() error {
 }
 
 // Policies lists the built-in replication policies usable with
-// AttachPolicy and PolicySpec: "static" (the sysctl-mask baseline, never
+// PolicySpec: "static" (the sysctl-mask baseline, never
 // acts at runtime), "ondemand" (numaPTE-style: replicate to a socket when
 // its remote page-walk cycles cross a threshold, deprecate cold replicas)
 // and "costadaptive" (Phoenix-style: price replication against thread
 // migration with the machine's cost model).
 func Policies() []string { return core.PolicyNames() }
-
-// AttachPolicy installs the named telemetry-driven replication policy on
-// the process and returns its engine. Scenario runs wire the engine into
-// the round barriers automatically (ProcSpec.Policy); for hand-rolled
-// AccessBatch loops, call engine.Tick at your own quiescent points. The
-// engine also mediates memory-pressure replica reclaim for the process.
-func (pr *Proc) AttachPolicy(name string) (*kernel.PolicyEngine, error) {
-	pr.sys.Quiesce()
-	pol, err := pr.sys.k.NewPolicy(name)
-	if err != nil {
-		return nil, err
-	}
-	return pr.sys.k.AttachPolicy(pr.p, pol, kernel.PolicyEngineConfig{}), nil
-}
 
 // Migrate moves the process to another socket. Data always follows (as
 // commodity NUMA balancing would eventually arrange); page-tables follow

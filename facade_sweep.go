@@ -165,9 +165,6 @@ func (sw Sweep) Validate() error {
 			return fmt.Errorf("sweep %q: fragmentation %v outside [0,1)", sw.Name, f)
 		}
 	}
-	if slices.Contains(sw.Virt, true) && m.FiveLevel {
-		return fmt.Errorf("sweep %q: virt cells require 4-level paging; drop machine five_level", sw.Name)
-	}
 	for _, ts := range sw.Tiers {
 		if ts == "" {
 			continue
@@ -191,18 +188,16 @@ func (sw Sweep) Validate() error {
 		}
 	}
 	for _, hw := range sw.Hardware {
-		cellMachine := m
+		cellHardware := m.Hardware
 		if hw != "" {
-			cellMachine.Hardware = hw
+			cellHardware = hw
 		}
-		hs, err := effectiveHardware(cellMachine)
+		hs, err := ParseHardware(cellHardware)
 		if err != nil {
 			return fmt.Errorf("sweep %q: hardware %q: %w", sw.Name, hw, err)
 		}
-		if hs != (HardwareSpec{}) {
-			if err := hs.translateSpec().Validate(); err != nil {
-				return fmt.Errorf("sweep %q: hardware %q: %w", sw.Name, hw, err)
-			}
+		if err := hs.translateSpec().Validate(); err != nil {
+			return fmt.Errorf("sweep %q: hardware %q: %w", sw.Name, hw, err)
 		}
 		if hs.Backend == HardwareX8664LA57 && slices.Contains(sw.Virt, true) {
 			return fmt.Errorf("sweep %q: virt cells require 4-level paging; drop hardware %q or the virt axis", sw.Name, hw)

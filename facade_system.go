@@ -45,7 +45,7 @@
 // directly:
 //
 //	sys := mitosis.NewSystem(mitosis.SystemConfig{})
-//	p, _ := sys.Launch(mitosis.ProcessConfig{Name: "app", Sockets: mitosis.AllSockets})
+//	p, _ := sys.Spawn(mitosis.ProcSpec{Name: "app"}) // one worker per socket
 //	base, _ := p.Mmap(256<<20, true)
 //	p.ReplicatePageTables()                  // Mitosis on, all sockets
 //	p.Access(base, true)                     // runs against the simulated MMU
@@ -63,7 +63,6 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
-	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
 // SystemConfig describes a simulated machine + kernel. It doubles as the
@@ -79,8 +78,6 @@ type SystemConfig struct {
 	MemoryPerNode uint64 `json:"memory_per_node,omitempty"`
 	// THP enables transparent huge pages.
 	THP bool `json:"thp,omitempty"`
-	// FiveLevel selects 5-level paging instead of 4-level.
-	FiveLevel bool `json:"five_level,omitempty"`
 	// Tiers appends CPU-less slow-tier memory nodes after the per-socket
 	// DRAM nodes, as a canonical comma-separated list of kind@homeSocket
 	// entries, e.g. "cxl@0" or "cxl@0,nvm@1". Kinds are "cxl" and "nvm";
@@ -95,8 +92,7 @@ type SystemConfig struct {
 	// 4-level backend), a backend name ("x8664", "x8664la57", "victima"),
 	// or "name:l14k=E/W,l12m=E/W,l2=E/W,psc=L2/L3/L4/L5" with overridden
 	// sizing groups. A string for the same comparability reason as Tiers.
-	// Build it with WithHardware; FiveLevel with an empty Hardware is the
-	// legacy way to select the 5-level backend.
+	// Build it with WithHardware.
 	Hardware string `json:"hardware,omitempty"`
 }
 
@@ -211,29 +207,20 @@ type System struct {
 	k   *kernel.Kernel
 	cfg SystemConfig // normalized boot configuration
 	// procs indexes the processes created through this facade by name
-	// (scenario runs and Launch both register here; latest name wins).
+	// (scenario runs and Spawn both register here; latest name wins).
 	procs map[string]*Proc
 }
 
 // NewSystem boots a machine.
 func NewSystem(cfg SystemConfig) *System {
 	norm := cfg.normalize()
-	levels := uint8(0)
-	if norm.FiveLevel {
-		levels = 5
-	}
 	tiers, err := parseTiers(norm.Tiers)
 	if err != nil {
 		panic(fmt.Sprintf("mitosis: invalid SystemConfig.Tiers: %v", err))
 	}
-	hs, err := effectiveHardware(norm)
+	hs, err := ParseHardware(norm.Hardware)
 	if err != nil {
 		panic(fmt.Sprintf("mitosis: invalid SystemConfig.Hardware: %v", err))
-	}
-	var hwSpec *translate.Spec
-	if hs != (HardwareSpec{}) {
-		ts := hs.translateSpec()
-		hwSpec = &ts
 	}
 	topo := numa.NewTopology(norm.Sockets, norm.CoresPerSocket)
 	if len(tiers) > 0 {
@@ -242,8 +229,7 @@ func NewSystem(cfg SystemConfig) *System {
 	k := kernel.New(kernel.Config{
 		Topology:      topo,
 		FramesPerNode: norm.MemoryPerNode / 4096,
-		Levels:        levels,
-		Hardware:      hwSpec,
+		Hardware:      hs.translateSpec(),
 	})
 	k.SetTHP(cfg.THP)
 	// The facade's workflow is per-process replication control.
@@ -282,7 +268,7 @@ func (s *System) Kernel() *kernel.Kernel { return s.k }
 func (s *System) Config() SystemConfig { return s.cfg }
 
 // Proc returns the process with the given name, if it was created through
-// this facade (Launch, Spawn, or a scenario Run); nil otherwise.
+// this facade (Spawn or a scenario Run); nil otherwise.
 func (s *System) Proc(name string) *Proc { return s.procs[name] }
 
 // Quiesce drains every core's buffered cross-socket coherence events,

@@ -60,10 +60,6 @@ func TestHardwareValidation(t *testing.T) {
 	}{
 		{"unknown backend", func(s *Scenario) { s.Machine.Hardware = "pdp11" }, "unknown"},
 		{"victima with L2", func(s *Scenario) { s.Machine.Hardware = "victima:l2=64/8" }, "l2"},
-		{"five_level contradiction", func(s *Scenario) {
-			s.Machine.Hardware = HardwareX8664
-			s.Machine.FiveLevel = true
-		}, "five_level"},
 		{"malformed spec", func(s *Scenario) { s.Machine.Hardware = "x8664:l2=?" }, "/-separated"},
 	}
 	for _, c := range cases {
@@ -88,27 +84,34 @@ func TestHardwareValidation(t *testing.T) {
 	}
 }
 
-// TestEffectiveHardwareFoldsFiveLevel pins the legacy switch: five_level
-// with no hardware string selects the LA57 backend, and an explicit LA57
-// string is equivalent.
-func TestEffectiveHardwareFoldsFiveLevel(t *testing.T) {
-	hs, err := effectiveHardware(SystemConfig{FiveLevel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs.Backend != HardwareX8664LA57 {
-		t.Errorf("five_level folded to %q, want %q", hs.Backend, HardwareX8664LA57)
-	}
-	hs, err = effectiveHardware(SystemConfig{FiveLevel: true, Hardware: HardwareX8664LA57})
-	if err != nil || hs.Backend != HardwareX8664LA57 {
-		t.Errorf("five_level + la57 = (%+v, %v)", hs, err)
-	}
-	if _, err := effectiveHardware(SystemConfig{FiveLevel: true, Hardware: HardwareVictima}); err == nil {
-		t.Error("five_level + victima accepted")
-	}
-	hs, err = effectiveHardware(SystemConfig{})
-	if err != nil || hs != (HardwareSpec{}) {
-		t.Errorf("zero machine resolved to (%+v, %v), want the legacy default", hs, err)
+// TestDefaultHardwareIsX8664: an empty hardware string boots exactly the
+// x8664 backend, so a scenario runs with the same counters, policy logs,
+// replica pages and geometry echo under either spelling.
+func TestDefaultHardwareIsX8664(t *testing.T) {
+	var ref *RunResult
+	for _, hw := range []string{"", HardwareX8664} {
+		sc := testScenario()
+		sc.Machine.Hardware = hw
+		rr, err := Run(sc, WithEngine(SequentialEngine))
+		if err != nil {
+			t.Fatalf("hardware %q: %v", hw, err)
+		}
+		if ref == nil {
+			ref = rr
+			continue
+		}
+		if !reflect.DeepEqual(ref.Phases, rr.Phases) {
+			t.Errorf("phase counters differ:\n\"\": %+v\nx8664: %+v", ref.Phases, rr.Phases)
+		}
+		if !reflect.DeepEqual(ref.Policies, rr.Policies) {
+			t.Errorf("policy logs differ:\n\"\": %+v\nx8664: %+v", ref.Policies, rr.Policies)
+		}
+		if ref.ReplicaPTPages != rr.ReplicaPTPages {
+			t.Errorf("replica PT pages %d vs %d", ref.ReplicaPTPages, rr.ReplicaPTPages)
+		}
+		if !reflect.DeepEqual(ref.Hardware, rr.Hardware) {
+			t.Errorf("hardware echo differs: %+v vs %+v", ref.Hardware, rr.Hardware)
+		}
 	}
 }
 

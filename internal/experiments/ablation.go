@@ -8,6 +8,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/metrics"
 	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
+	"github.com/mitosis-project/mitosis-sim/internal/translate"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
@@ -76,11 +77,16 @@ func RunAblationFiveLevel(cfg Config) (*metrics.Table, error) {
 		Note:    "walk cycles per op with page-tables remote+loaded, and with Mitosis migration",
 		Columns: []string{"Levels", "RPI-LD walk cyc/op", "+M walk cyc/op", "recovered"},
 	}
-	for _, levels := range []uint8{4, 5} {
+	for _, backend := range []string{translate.BackendX8664, translate.BackendX8664LA57} {
 		var walkPerOp [2]float64
+		var levels uint8
 		for i, migrate := range []bool{false, true} {
 			noPSC := mmucache.PSCConfig{}
-			k := kernel.New(kernel.Config{FramesPerNode: cfg.FramesPerNode, Levels: levels, PSC: &noPSC})
+			k := kernel.New(kernel.Config{
+				FramesPerNode: cfg.FramesPerNode,
+				Hardware:      translate.Spec{Backend: backend, PSC: &noPSC},
+			})
+			levels = k.Levels()
 			w := cfg.workload(workloads.NewGUPS())
 			nodeB := k.Topology().NodeOf(wmSocketB)
 			p, err := k.CreateProcess(kernel.ProcessOpts{

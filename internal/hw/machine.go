@@ -141,13 +141,8 @@ type Config struct {
 	Topology *numa.Topology
 	Cost     *numa.CostModel
 	Mem      *mem.PhysMem
-	// TLB and PSC size the default x86-64 backend's caches when Backend
-	// is nil (the compatibility path every pre-backend caller uses).
-	TLB tlb.Config
-	PSC mmucache.PSCConfig
-	LLC mmucache.LLCConfig
-	// Backend supplies the translation hardware model. nil selects the
-	// default x8664 backend built from TLB/PSC above.
+	LLC      mmucache.LLCConfig
+	// Backend supplies the translation hardware model (translate.New).
 	Backend translate.Backend
 }
 
@@ -198,20 +193,14 @@ func (m *Machine) setSingleWriter(on bool) {
 
 // New builds the machine.
 func New(cfg Config) *Machine {
-	if cfg.Topology == nil || cfg.Cost == nil || cfg.Mem == nil {
-		panic("hw: Config requires Topology, Cost and Mem")
-	}
-	backend := cfg.Backend
-	if backend == nil {
-		backend = translate.NewX8664(cfg.TLB, cfg.PSC, translate.Deps{
-			Topo: cfg.Topology, Cost: cfg.Cost, Mem: cfg.Mem,
-		})
+	if cfg.Topology == nil || cfg.Cost == nil || cfg.Mem == nil || cfg.Backend == nil {
+		panic("hw: Config requires Topology, Cost, Mem and Backend")
 	}
 	m := &Machine{
 		topo:      cfg.Topology,
 		cost:      cfg.Cost,
 		pm:        cfg.Mem,
-		backend:   backend,
+		backend:   cfg.Backend,
 		cores:     make([]coreState, cfg.Topology.Cores()),
 		llcs:      make([]*mmucache.LLC, cfg.Topology.Sockets()),
 		cPipeline: cfg.Cost.PipelineOp(),
@@ -232,7 +221,7 @@ func New(cfg Config) *Machine {
 			LLC:     m.llcs[socket],
 			Pending: &c.pending,
 		}
-		c.xc = backend.NewCore(i)
+		c.xc = cfg.Backend.NewCore(i)
 		c.dataHitRate = 0
 		c.walkOverlap = 1.0
 		c.rng = rngSeed(i)

@@ -9,7 +9,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
-	"github.com/mitosis-project/mitosis-sim/internal/tlb"
+	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
 type fixture struct {
@@ -26,13 +26,16 @@ func newFixture(t testing.TB) *fixture {
 	topo := numa.NewTopology(4, 2)
 	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
+	backend, err := translate.New(translate.Spec{}, translate.Deps{Topo: topo, Cost: cost, Mem: pm})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := New(Config{
 		Topology: topo,
 		Cost:     cost,
 		Mem:      pm,
-		TLB:      tlb.DefaultConfig(),
-		PSC:      mmucache.DefaultPSCConfig(),
 		LLC:      mmucache.DefaultLLCConfig(),
+		Backend:  backend,
 	})
 	ctx := &pvops.OpCtx{Socket: 0}
 	mp, err := pvops.NewMapper(ctx, pm, pvops.NewNative(pm, cost), 4, pvops.PTPlacement{Primary: 0})

@@ -21,7 +21,6 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
-	"github.com/mitosis-project/mitosis-sim/internal/tlb"
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
@@ -81,21 +80,15 @@ type Config struct {
 	// FramesPerNode is each node's memory capacity. Defaults to 1M frames
 	// (4GB per node).
 	FramesPerNode uint64
-	// TLB, PSC, LLC size the hardware caches; zero values select the
-	// scaled defaults.
-	TLB *tlb.Config
-	PSC *mmucache.PSCConfig
+	// LLC sizes the per-socket page-table line caches; nil selects the
+	// scaled default.
 	LLC *mmucache.LLCConfig
 	// Costs are the kernel path costs; zero value selects DefaultCosts.
 	Costs *Costs
-	// Levels is the paging depth (4 or 5). Defaults to 4. Ignored when
-	// Hardware is set: the backend dictates the depth.
-	Levels uint8
-	// Hardware selects a translation-hardware backend by spec. nil keeps
-	// the default x86-64 4-level backend sized by TLB/PSC above. When
-	// set, the spec's TLB/PSC geometry overrides Config.TLB/Config.PSC
-	// and the paging depth comes from the backend (5 for x8664la57).
-	Hardware *translate.Spec
+	// Hardware selects and sizes the translation-hardware backend; the
+	// zero value is the default x86-64 4-level backend. The paging depth
+	// comes from the backend (5 for x8664la57).
+	Hardware translate.Spec
 }
 
 // Kernel is the simulated OS instance plus the hardware it manages.
@@ -159,14 +152,6 @@ func New(cfg Config) *Kernel {
 		frames = 1 << 20 // 4GB per node
 	}
 	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: frames})
-	tlbCfg := tlb.DefaultConfig()
-	if cfg.TLB != nil {
-		tlbCfg = *cfg.TLB
-	}
-	pscCfg := mmucache.DefaultPSCConfig()
-	if cfg.PSC != nil {
-		pscCfg = *cfg.PSC
-	}
 	llcCfg := mmucache.DefaultLLCConfig()
 	if cfg.LLC != nil {
 		llcCfg = *cfg.LLC
@@ -175,22 +160,12 @@ func New(cfg Config) *Kernel {
 	if cfg.Costs != nil {
 		costs = *cfg.Costs
 	}
-	levels := cfg.Levels
-	if levels == 0 {
-		levels = 4
-	}
-	var thw translate.Backend
-	if cfg.Hardware != nil {
-		var err error
-		thw, err = translate.New(*cfg.Hardware, translate.Deps{Topo: topo, Cost: cost, Mem: pm})
-		if err != nil {
-			panic("kernel: invalid hardware spec: " + err.Error())
-		}
-		levels = thw.Levels()
+	thw, err := translate.New(cfg.Hardware, translate.Deps{Topo: topo, Cost: cost, Mem: pm})
+	if err != nil {
+		panic("kernel: invalid hardware spec: " + err.Error())
 	}
 	machine := hw.New(hw.Config{
-		Topology: topo, Cost: cost, Mem: pm,
-		TLB: tlbCfg, PSC: pscCfg, LLC: llcCfg,
+		Topology: topo, Cost: cost, Mem: pm, LLC: llcCfg,
 		Backend: thw,
 	})
 	cache := mem.NewPageCache(pm, 0)
@@ -202,7 +177,7 @@ func New(cfg Config) *Kernel {
 		backend: core.NewBackend(pm, cost, cache),
 		cache:   cache,
 		costs:   costs,
-		levels:  levels,
+		levels:  thw.Levels(),
 		nextPID: 1,
 		procs:   make(map[int]*Process),
 		current: make([]atomic.Pointer[Process], topo.Cores()),
@@ -301,7 +276,3 @@ func (k *Kernel) SetGlobalFaultLock(on bool) {
 		}
 	}
 }
-
-// GlobalFaultLock reports whether the legacy machine-wide fault lock is
-// selected instead of the sharded per-process locks.
-func (k *Kernel) GlobalFaultLock() bool { return k.globalFaultLock }

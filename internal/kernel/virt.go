@@ -56,9 +56,6 @@ const (
 	VMLayerBoth = "both"
 )
 
-// Virtualized reports whether the process runs inside a VM.
-func (p *Process) Virtualized() bool { return p.guest != nil }
-
 // GuestSpace returns the process's guest page-table, or nil for native
 // processes.
 func (p *Process) GuestSpace() *virt.GuestSpace { return p.guest }

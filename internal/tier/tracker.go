@@ -12,11 +12,6 @@ type TrackerConfig struct {
 	ColdTicks int
 }
 
-// DefaultTrackerConfig returns the tracker defaults.
-func DefaultTrackerConfig() TrackerConfig {
-	return TrackerConfig{HotThreshold: 8, ColdTicks: 4}
-}
-
 func (c TrackerConfig) withDefaults() TrackerConfig {
 	if c.HotThreshold == 0 {
 		c.HotThreshold = 8

@@ -38,16 +38,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// HardwareConfig returns the paper machine's actual TLB geometry (64-entry
-// L1, 1024-entry L2), for full-scale runs.
-func HardwareConfig() Config {
-	return Config{
-		L1Entries4K: 64, L1Ways4K: 4,
-		L1Entries2M: 32, L1Ways2M: 4,
-		L2Entries: 1024, L2Ways: 8,
-	}
-}
-
 // HitLevel reports where a lookup hit.
 type HitLevel int
 

@@ -266,11 +266,3 @@ func New(spec Spec, deps Deps) (Backend, error) {
 		return newVictima(tlbCfg, pscCfg, deps), nil
 	}
 }
-
-// NewX8664 builds the default backend with explicit geometry and no
-// defaulting or validation — the machine's compatibility path for
-// callers that configure hw.Config.TLB/PSC directly (bad geometry
-// panics in the tlb constructor, as it always has).
-func NewX8664(tlbCfg tlb.Config, pscCfg mmucache.PSCConfig, deps Deps) Backend {
-	return newX8664(BackendX8664, 4, 48, tlbCfg, pscCfg, deps)
-}

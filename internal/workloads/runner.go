@@ -130,13 +130,6 @@ func Run(env *Env, w Workload, opsPerThread int) (*Result, error) {
 	return run(env, w, opsPerThread, true, EngineConfig{})
 }
 
-// RunKeepStats is Run without the counter reset: the result includes all
-// cycles accumulated since the last reset, so initialization is measured
-// too (the paper's Table 6 end-to-end configuration).
-func RunKeepStats(env *Env, w Workload, opsPerThread int) (*Result, error) {
-	return run(env, w, opsPerThread, false, EngineConfig{})
-}
-
 // RunWith is Run under an explicit engine configuration. Sequential and
 // Parallel produce bit-identical Results for the same inputs: the engine's
 // determinism contract (see DESIGN.md).
@@ -144,7 +137,9 @@ func RunWith(env *Env, w Workload, opsPerThread int, cfg EngineConfig) (*Result,
 	return run(env, w, opsPerThread, true, cfg)
 }
 
-// RunKeepStatsWith is RunKeepStats under an explicit engine configuration.
+// RunKeepStatsWith is RunWith without the counter reset: the result
+// includes all cycles accumulated since the last reset, so initialization
+// is measured too (the paper's Table 6 end-to-end configuration).
 func RunKeepStatsWith(env *Env, w Workload, opsPerThread int, cfg EngineConfig) (*Result, error) {
 	return run(env, w, opsPerThread, false, cfg)
 }

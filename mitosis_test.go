@@ -8,7 +8,7 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 2, MemoryPerNode: 256 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: AllSockets})
+	p, err := sys.Spawn(ProcSpec{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestAccessBatchFacade(t *testing.T) {
 	mkProc := func() (*System, *Proc, uint64) {
 		sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 2, MemoryPerNode: 256 << 20})
-		p, err := sys.Launch(ProcessConfig{Name: "batch", Sockets: AllSockets})
+		p, err := sys.Spawn(ProcSpec{Name: "batch"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestAccessBatchFacade(t *testing.T) {
 
 func TestMigrationFlow(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 2, CoresPerSocket: 2, MemoryPerNode: 512 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: 0})
+	p, err := sys.Spawn(ProcSpec{Name: "app", Placement: PlacementSpec{Sockets: []int{0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMigrationFlow(t *testing.T) {
 
 func TestCollapse(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 2, CoresPerSocket: 1, MemoryPerNode: 128 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: AllSockets})
+	p, err := sys.Spawn(ProcSpec{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,48 +134,35 @@ func TestCollapse(t *testing.T) {
 	}
 }
 
-// TestAttachPolicyFacade: the facade exposes the telemetry-driven policy
-// engine; ticking it manually after batches replicates on demand.
-func TestAttachPolicyFacade(t *testing.T) {
+// TestPolicyScenarioFacade: a scenario process under UnderPolicy gets its
+// telemetry-driven engine ticked at the round barriers. Workers walking a
+// table pinned to node 0 from the other sockets make the ondemand policy
+// act and add replicas; an unknown policy name fails validation.
+func TestPolicyScenarioFacade(t *testing.T) {
 	if got := Policies(); !slices.Equal(got, []string{"static", "ondemand", "costadaptive"}) {
 		t.Fatalf("Policies() = %v", got)
 	}
-	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 256 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: AllSockets})
+	sc := NewScenario("test/ondemand",
+		OnMachine(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 256 << 20, Hardware: testBackend()}),
+		WithProc(NewProc("app",
+			GUPS(InSuite("wm"), Scaled(1.0/32)),
+			WithPTNode(0),
+			UnderPolicy("ondemand"),
+			WithPhases(Measure(2000)),
+		)),
+	)
+	rr, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := p.Mmap(16<<20, true)
-	if err != nil {
-		t.Fatal(err)
+	if len(rr.Policies) != 1 || len(rr.Policies[0].Actions) == 0 {
+		t.Fatalf("policy never acted on remote-heavy workers: %+v", rr.Policies)
 	}
-	if _, err := p.AttachPolicy("nope"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	eng, err := p.AttachPolicy("ondemand")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Workers 1-3 sweep pages of a table whose pages first-touched on
-	// socket 0 (Mmap populate runs there): remote walks everywhere else.
-	for round := 1; round <= 10; round++ {
-		for w := 1; w < 4; w++ {
-			ops := make([]AccessOp, 128)
-			for i := range ops {
-				ops[i] = AccessOp{VA: base + uint64(w*997+i*4096+round*512*4096)%(16<<20), Write: true}
-			}
-			if err := p.AccessBatch(w, ops); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := eng.Tick(round); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(eng.ActionLog()) == 0 {
-		t.Fatal("policy never acted on remote-heavy workers")
-	}
-	if !p.Stats().Replicated {
+	if rr.ReplicaPTPages == 0 {
 		t.Error("no replicas after on-demand ticks")
+	}
+	sc.Processes[0].Policy.Name = "nope"
+	if err := sc.Validate(); err == nil {
+		t.Error("unknown policy accepted")
 	}
 }

@@ -276,9 +276,9 @@ func TestRunObserver(t *testing.T) {
 	}
 }
 
-// TestSpawnExplicitSockets: the ProcSpec placement fixes the
-// ProcessConfig.Sockets footgun — []int{0} is explicitly socket 0, and
-// other sockets work too.
+// TestSpawnExplicitSockets: a ProcSpec placement of []int{0} is
+// explicitly socket 0, other sockets work too, and Spawn registers each
+// process by name.
 func TestSpawnExplicitSockets(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 2, MemoryPerNode: 128 << 20})
 	p0, err := sys.Spawn(ProcSpec{Name: "on-zero", Placement: PlacementSpec{Sockets: []int{0}}})
@@ -298,16 +298,8 @@ func TestSpawnExplicitSockets(t *testing.T) {
 	if _, err := sys.Spawn(ProcSpec{Name: "bad", Placement: PlacementSpec{Sockets: []int{11}}}); err == nil {
 		t.Error("out-of-range socket accepted")
 	}
-	// The deprecated shim still works and registers by name.
-	pl, err := sys.Launch(ProcessConfig{Name: "legacy", Sockets: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Proc("legacy") != pl {
-		t.Error("Launch did not register the process by name")
-	}
-	if cores := pl.Process().Cores(); sys.Kernel().Topology().SocketOf(cores[0]) != 1 {
-		t.Errorf("legacy Sockets:1 landed on %v", cores)
+	if sys.Proc("on-zero") != p0 || sys.Proc("on-two") != p2 {
+		t.Error("Spawn did not register the processes by name")
 	}
 }
 
@@ -354,7 +346,7 @@ func TestSystemRunMachineMismatch(t *testing.T) {
 // replication state call it implicitly after hand-rolled batches.
 func TestQuiesce(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 128 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: AllSockets})
+	p, err := sys.Spawn(ProcSpec{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,12 +438,6 @@ func TestVirtScenarioValidationErrors(t *testing.T) {
 			node := 0
 			s.Processes[0].Phases = []PhaseSpec{{Ops: 10, MovePT: &node}}
 		}, "virtualized process recovers locality"},
-		{"vm five level", func(s *Scenario) {
-			// Clear any matrix-injected backend: this case pins the legacy
-			// five_level switch, not a backend contradiction.
-			s.Machine.Hardware = ""
-			s.Machine.FiveLevel = true
-		}, "vm requires 4-level paging"},
 	}
 	for _, tc := range cases {
 		sc := testVirtScenario()
