@@ -103,3 +103,19 @@ func TestChurnRecordReplays(t *testing.T) {
 			got.Ops, got.Faults, got.Cycles, got.P99)
 	}
 }
+
+// TestChurnInvalidMachine: a churn on a machine SystemConfig.Validate
+// rejects fails validation, and RunChurn returns that error instead of
+// panicking while booting the machine.
+func TestChurnInvalidMachine(t *testing.T) {
+	for _, m := range []SystemConfig{{Tiers: "bogus"}, {Hardware: "bogus"}, {Sockets: -1}} {
+		c := testChurn()
+		c.Machine = m
+		if err := c.Validate(); err == nil {
+			t.Errorf("machine %+v: Validate accepted it", m)
+		}
+		if _, err := RunChurn(c); err == nil {
+			t.Errorf("machine %+v: RunChurn accepted it", m)
+		}
+	}
+}

@@ -18,7 +18,7 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/mitosis-project/mitosis-sim/internal/core"
+	mitosis "github.com/mitosis-project/mitosis-sim"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
@@ -49,11 +49,7 @@ func main() {
 		log.Fatalf("unknown workload %q", flag.Arg(0))
 	}
 
-	k := kernel.New(kernel.Config{})
-	k.SetTHP(*thp)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := mitosis.NewSystem(mitosis.SystemConfig{THP: *thp}).Kernel()
 
 	opts := kernel.ProcessOpts{
 		Name:         w.Name(),

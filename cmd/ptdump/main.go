@@ -11,10 +11,14 @@
 // page-table on a chosen node so the tier placement of the table itself
 // is visible in the dump.
 //
-// -hardware selects the translation backend the machine boots (x8664,
-// x8664la57 or victima); -geometry prints the booted backend's geometry
-// — name, walk levels, VA reach, TLB arrays and paging-structure cache
-// rows — and exits without running a workload.
+// The machine boots through the library facade, so -tiers and -hardware
+// take the mitosis.SystemConfig Tiers and Hardware string syntax and are
+// checked by SystemConfig.Validate. -hardware selects the translation
+// backend (x8664, x8664la57 or victima, optionally with geometry
+// overrides such as "victima:l14k=32/4,psc=0/0/0/0"); -geometry prints
+// the booted backend's geometry — name, walk levels, VA reach, TLB arrays
+// and paging-structure cache rows — and exits without running a
+// workload.
 //
 // -faults takes a fault plan in the scenario DSL
 // (kind:r<N>[:p<N>][:n<N>][:g<N>][:f<N>], ';'-separated; kinds
@@ -39,52 +43,14 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/mitosis-project/mitosis-sim/internal/core"
+	mitosis "github.com/mitosis-project/mitosis-sim"
 	"github.com/mitosis-project/mitosis-sim/internal/fault"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
-	"github.com/mitosis-project/mitosis-sim/internal/translate"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
-
-// ptdumpSockets mirrors the default machine (the paper's 4-socket Xeon)
-// when -tiers replaces the topology with a tiered one.
-const (
-	ptdumpSockets = 4
-	ptdumpCores   = 14
-)
-
-// parseTiers parses the -tiers flag: comma-separated kind@socket entries,
-// e.g. "cxl@0,nvm@1", matching the facade's SystemConfig.Tiers syntax.
-func parseTiers(s string) ([]numa.TierNode, error) {
-	var out []numa.TierNode
-	for i, part := range strings.Split(s, ",") {
-		kind, homeStr, ok := strings.Cut(strings.TrimSpace(part), "@")
-		if !ok {
-			return nil, fmt.Errorf("tier %d %q: want kind@socket", i, part)
-		}
-		var tk numa.MemTier
-		switch kind {
-		case "cxl":
-			tk = numa.TierCXL
-		case "nvm":
-			tk = numa.TierNVM
-		default:
-			return nil, fmt.Errorf("tier %d: unknown kind %q (want cxl or nvm)", i, kind)
-		}
-		var home int
-		if _, err := fmt.Sscanf(homeStr, "%d", &home); err != nil || fmt.Sprint(home) != homeStr {
-			return nil, fmt.Errorf("tier %d: bad home socket %q", i, homeStr)
-		}
-		if home < 0 || home >= ptdumpSockets {
-			return nil, fmt.Errorf("tier %d: home socket %d out of range [0,%d)", i, home, ptdumpSockets)
-		}
-		out = append(out, numa.TierNode{Kind: tk, Home: numa.SocketID(home)})
-	}
-	return out, nil
-}
 
 func main() {
 	name := flag.String("workload", "Memcached", "workload name (paper Table 1)")
@@ -95,7 +61,7 @@ func main() {
 	replicate := flag.Bool("replicate", false, "enable Mitosis replication on all sockets")
 	tiers := flag.String("tiers", "", "slow-tier nodes as kind@socket, e.g. cxl@0,nvm@1")
 	ptnode := flag.Int("ptnode", -1, "pin page-table allocation to this node (default: home socket)")
-	hardware := flag.String("hardware", "", "translation backend: x8664, x8664la57 or victima (default x8664)")
+	hardware := flag.String("hardware", "", "translation backend (x8664, x8664la57 or victima), optionally with geometry overrides (default x8664)")
 	geometry := flag.Bool("geometry", false, "print the booted translation-hardware geometry and exit")
 	faults := flag.String("faults", "", "fault plan (e.g. poison-pt:r100:p0:n1;offline:r200:n2), fired at snapshot boundaries")
 	flag.Parse()
@@ -110,66 +76,36 @@ func main() {
 		os.Exit(2)
 	}
 
-	kcfg := kernel.Config{Hardware: translate.Spec{Backend: *hardware}}
-	if err := kcfg.Hardware.Validate(); err != nil {
-		log.Fatalf("ptdump: -hardware: %v", err)
+	cfg := mitosis.SystemConfig{THP: *thp, Tiers: *tiers, Hardware: *hardware}
+	if err := cfg.Validate(); err != nil {
+		log.Fatalf("ptdump: %v", err)
 	}
-	if *tiers != "" {
-		tn, err := parseTiers(*tiers)
-		if err != nil {
-			log.Fatalf("ptdump: -tiers: %v", err)
-		}
-		kcfg.Topology = numa.NewTieredTopology(ptdumpSockets, ptdumpCores, tn)
-	}
-	k := kernel.New(kcfg)
+	sys := mitosis.NewSystem(cfg)
 	if *geometry {
-		printGeometry(k.HardwareGeometry())
+		printGeometry(sys.Hardware())
 		return
 	}
-	k.SetTHP(*thp)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
-
-	popts := kernel.ProcessOpts{
-		Name: w.Name(), Home: 0, DataLocality: w.DataLocality(),
+	spec := mitosis.ProcSpec{Name: w.Name()}
+	if *scenario == "wm" {
+		spec.Placement.Sockets = []int{0}
 	}
 	if *ptnode >= 0 {
-		if *ptnode >= k.Topology().Nodes() {
-			log.Fatalf("ptdump: -ptnode %d out of range [0,%d)", *ptnode, k.Topology().Nodes())
-		}
-		popts.PTPolicy = kernel.PTFixed
-		popts.PTNode = numa.NodeID(*ptnode)
+		spec.Placement.PageTables = mitosis.PlaceFixed
+		spec.Placement.PTNode = *ptnode
 	}
-	p, err := k.CreateProcess(popts)
+	proc, err := sys.Spawn(spec)
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("ptdump: %v", err)
 	}
+	k, p := sys.Kernel(), proc.Process()
 	topo := k.Topology()
-	var cores []numa.CoreID
-	if *scenario == "wm" {
-		cores = []numa.CoreID{topo.FirstCoreOf(0)}
-	} else {
-		for s := 0; s < topo.Sockets(); s++ {
-			cores = append(cores, topo.FirstCoreOf(numa.SocketID(s)))
-		}
-	}
-	if err := k.RunOn(p, cores); err != nil {
-		log.Fatal(err)
-	}
 	env := workloads.NewEnv(k, p, *thp, 42)
 	fmt.Printf("initializing %s (%d MB)...\n", w.Name(), w.Footprint()>>20)
 	if err := w.Setup(env); err != nil {
 		log.Fatal(err)
 	}
 	if *replicate {
-		// Replicas go on socket DRAM only: a walker never benefits from a
-		// copy on a CPU-less slow-tier node.
-		nodes := make([]numa.NodeID, topo.DRAMNodes())
-		for i := range nodes {
-			nodes[i] = numa.NodeID(i)
-		}
-		if err := p.SetReplicationMask(nodes); err != nil {
+		if err := proc.ReplicatePageTables(); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -264,13 +200,13 @@ func printFaultReport(k *kernel.Kernel, feng *kernel.FaultEngine) {
 // printGeometry renders the booted backend's translation geometry: walk
 // depth and reach, the per-core TLB arrays, and the paging-structure
 // cache rows keyed by the table level they cache.
-func printGeometry(g translate.Geometry) {
+func printGeometry(g mitosis.HardwareInfo) {
 	fmt.Printf("backend:  %s\n", g.Backend)
 	fmt.Printf("levels:   %d (VA reach %d bits)\n", g.Levels, g.VABits)
 	fmt.Printf("L1 TLB:   %d entries 4K (%d-way), %d entries 2M/1G (%d-way)\n",
-		g.TLB.L1Entries4K, g.TLB.L1Ways4K, g.TLB.L1Entries2M, g.TLB.L1Ways2M)
-	if g.TLB.L2Entries > 0 {
-		fmt.Printf("L2 TLB:   %d entries (%d-way)\n", g.TLB.L2Entries, g.TLB.L2Ways)
+		g.L1TLB4K, g.L1TLB4KWays, g.L1TLB2M, g.L1TLB2MWays)
+	if g.L2TLB > 0 {
+		fmt.Printf("L2 TLB:   %d entries (%d-way)\n", g.L2TLB, g.L2TLBWays)
 	} else {
 		fmt.Printf("L2 TLB:   none (translation blocks live in the LLC)\n")
 	}

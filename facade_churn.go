@@ -107,8 +107,11 @@ func (c Churn) normalize() Churn {
 	return c
 }
 
-// Validate checks the spec for structural errors.
+// Validate checks the spec for structural errors, the machine included.
 func (c Churn) Validate() error {
+	if err := c.Machine.Validate(); err != nil {
+		return fmt.Errorf("churn: %w", err)
+	}
 	n := c.normalize()
 	if n.Fragmentation < 0 || n.Fragmentation >= 1 {
 		return fmt.Errorf("churn: fragmentation %v out of [0,1)", n.Fragmentation)

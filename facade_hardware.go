@@ -92,8 +92,8 @@ func (h HardwareSpec) String() string {
 
 // ParseHardware reads a SystemConfig.Hardware string back into a spec.
 // It checks form only; backend names and geometry invariants are checked
-// by validation (Scenario.Validate / Sweep.Validate), so error messages
-// land with the rest of the spec diagnostics.
+// by SystemConfig.Validate, which every spec's validation calls, so error
+// messages land with the rest of the spec diagnostics.
 func ParseHardware(s string) (HardwareSpec, error) {
 	var h HardwareSpec
 	if s == "" {

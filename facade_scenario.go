@@ -422,34 +422,15 @@ func (pl PlacementSpec) validate(where string, sockets, coresPerSocket, nodes in
 // found, phrased to be fixable. It is called automatically by Run,
 // MarshalJSON and UnmarshalJSON.
 func (sc Scenario) Validate() error {
+	if err := sc.Machine.Validate(); err != nil {
+		return fmt.Errorf("scenario %q: %w", sc.Name, err)
+	}
 	m := sc.Machine.normalize()
-	if sc.Machine.Sockets < 0 || sc.Machine.CoresPerSocket < 0 {
-		return fmt.Errorf("scenario %q: machine sockets/cores must be non-negative", sc.Name)
-	}
-	if mem := sc.Machine.MemoryPerNode; mem != 0 && mem < 2<<20 {
-		return fmt.Errorf("scenario %q: machine memory_per_node %d is below one 2MB block; use at least %d (or 0 for the 4GB default)",
-			sc.Name, mem, 2<<20)
-	}
+	hs, _ := ParseHardware(m.Hardware)
+	nodes := m.nodes()
 	if sc.Fragmentation < 0 || sc.Fragmentation >= 1 {
 		return fmt.Errorf("scenario %q: fragmentation %v outside [0,1)", sc.Name, sc.Fragmentation)
 	}
-	tiers, err := parseTiers(m.Tiers)
-	if err != nil {
-		return fmt.Errorf("scenario %q: machine tiers: %w", sc.Name, err)
-	}
-	for i, tn := range tiers {
-		if int(tn.Home) >= m.Sockets {
-			return fmt.Errorf("scenario %q: tier %d home socket %d out of range [0,%d)", sc.Name, i, tn.Home, m.Sockets)
-		}
-	}
-	hs, err := ParseHardware(m.Hardware)
-	if err != nil {
-		return fmt.Errorf("scenario %q: machine hardware: %w", sc.Name, err)
-	}
-	if err := hs.translateSpec().Validate(); err != nil {
-		return fmt.Errorf("scenario %q: machine hardware %q: %w", sc.Name, m.Hardware, err)
-	}
-	nodes := m.Sockets + len(tiers)
 	for _, n := range sc.Interference {
 		if n < 0 || n >= nodes {
 			return fmt.Errorf("scenario %q: interference node %d out of range [0,%d)", sc.Name, n, nodes)

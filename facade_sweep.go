@@ -141,6 +141,9 @@ func (sw Sweep) normalized() Sweep {
 // validation when run.
 func (sw Sweep) Validate() error {
 	sw = sw.normalized()
+	if err := sw.Machine.Validate(); err != nil {
+		return fmt.Errorf("sweep %q: %w", sw.Name, err)
+	}
 	m := sw.Machine.normalize()
 	if len(sw.Workloads) == 0 {
 		return fmt.Errorf("sweep %q: no workloads; list paper workload names (have %v)", sw.Name, WorkloadNames())
@@ -166,17 +169,8 @@ func (sw Sweep) Validate() error {
 		}
 	}
 	for _, ts := range sw.Tiers {
-		if ts == "" {
-			continue
-		}
-		tn, err := parseTiers(ts)
-		if err != nil {
+		if err := sw.cellMachine(ts, "").Validate(); err != nil {
 			return fmt.Errorf("sweep %q: tiers %q: %w", sw.Name, ts, err)
-		}
-		for _, t := range tn {
-			if int(t.Home) >= m.Sockets {
-				return fmt.Errorf("sweep %q: tiers %q: home socket %d out of range [0,%d)", sw.Name, ts, t.Home, m.Sockets)
-			}
 		}
 	}
 	for _, tp := range sw.TierPolicies {
@@ -188,18 +182,11 @@ func (sw Sweep) Validate() error {
 		}
 	}
 	for _, hw := range sw.Hardware {
-		cellHardware := m.Hardware
-		if hw != "" {
-			cellHardware = hw
-		}
-		hs, err := ParseHardware(cellHardware)
-		if err != nil {
+		cm := sw.cellMachine("", hw)
+		if err := cm.Validate(); err != nil {
 			return fmt.Errorf("sweep %q: hardware %q: %w", sw.Name, hw, err)
 		}
-		if err := hs.translateSpec().Validate(); err != nil {
-			return fmt.Errorf("sweep %q: hardware %q: %w", sw.Name, hw, err)
-		}
-		if hs.Backend == HardwareX8664LA57 && slices.Contains(sw.Virt, true) {
+		if hs, _ := ParseHardware(cm.Hardware); hs.Backend == HardwareX8664LA57 && slices.Contains(sw.Virt, true) {
 			return fmt.Errorf("sweep %q: virt cells require 4-level paging; drop hardware %q or the virt axis", sw.Name, hw)
 		}
 	}
@@ -211,10 +198,12 @@ func (sw Sweep) Validate() error {
 		if err != nil {
 			return fmt.Errorf("sweep %q: faults %q: %w", sw.Name, fp, err)
 		}
-		// Every cell runs exactly one process on a machine with one NUMA
-		// node per socket.
-		if err := plan.Validate(1, m.Sockets); err != nil {
-			return fmt.Errorf("sweep %q: faults %q: %w", sw.Name, fp, err)
+		// Every cell runs exactly one process; a node the plan names must
+		// exist on every tiers-axis machine.
+		for _, ts := range sw.Tiers {
+			if err := plan.Validate(1, sw.cellMachine(ts, "").nodes()); err != nil {
+				return fmt.Errorf("sweep %q: faults %q: %w", sw.Name, fp, err)
+			}
 		}
 		if slices.Contains(sw.Virt, true) {
 			return fmt.Errorf("sweep %q: virt cells cannot take faults (fault injection is native-only); split the sweep", sw.Name)
@@ -348,13 +337,6 @@ func (sw Sweep) cell(i int, ax cellAxes) Scenario {
 		p.Phases = append(p.Phases, Warmup(sw.WarmupOps))
 	}
 	p.Phases = append(p.Phases, Measure(sw.MeasureOps))
-	machine := sw.Machine
-	if ax.tiers != "" {
-		machine.Tiers = ax.tiers
-	}
-	if ax.hardware != "" {
-		machine.Hardware = ax.hardware
-	}
 	name := fmt.Sprintf("%s[%d]:%s/%s/s%d/f%g/%s/seed%d",
 		sw.Name, i, ax.workload, ax.policy, ax.sockets, ax.frag, mode, ax.seed)
 	// Tier components appear only for non-default axis values, keeping
@@ -381,12 +363,25 @@ func (sw Sweep) cell(i int, ax cellAxes) Scenario {
 	}
 	return Scenario{
 		Name:          name,
-		Machine:       machine,
+		Machine:       sw.cellMachine(ax.tiers, ax.hardware),
 		Seed:          ax.seed,
 		Fragmentation: ax.frag,
 		Faults:        ax.faults,
 		Processes:     []ProcSpec{p},
 	}
+}
+
+// cellMachine is the machine a cell with the given tiers and hardware
+// axis values runs on: a non-empty value overrides the sweep machine's.
+func (sw Sweep) cellMachine(tiers, hardware string) SystemConfig {
+	m := sw.Machine
+	if tiers != "" {
+		m.Tiers = tiers
+	}
+	if hardware != "" {
+		m.Hardware = hardware
+	}
+	return m
 }
 
 // CellOutcome is the deterministic, diffable part of a cell's result: the
@@ -720,6 +715,7 @@ var systemPools sync.Map // SystemConfig -> *sync.Pool
 // AcquireSystem returns a system for cfg from the recycling pool, booting
 // a fresh one when the pool is empty. Pooled systems are bit-identically
 // equivalent to NewSystem(cfg): Release resets them to fresh-boot state.
+// Like NewSystem, it requires a cfg that passes Validate.
 func AcquireSystem(cfg SystemConfig) *System {
 	if p, ok := systemPools.Load(cfg.normalize()); ok {
 		if s, _ := p.(*sync.Pool).Get().(*System); s != nil {

@@ -66,7 +66,10 @@ import (
 )
 
 // SystemConfig describes a simulated machine + kernel. It doubles as the
-// Machine section of a Scenario, so it serializes.
+// Machine section of a Scenario, Sweep and Churn, so it serializes. The
+// zero value is the paper's platform. Validate is the one check of the
+// whole description; every spec's validation calls it, and NewSystem
+// requires a config that passes it.
 type SystemConfig struct {
 	// Sockets and CoresPerSocket shape the machine; zero selects the
 	// paper's 4-socket/14-core evaluation platform.
@@ -74,7 +77,7 @@ type SystemConfig struct {
 	CoresPerSocket int `json:"cores_per_socket,omitempty"`
 	// MemoryPerNode is each node's capacity in bytes, rounded down to
 	// whole 2MB blocks; zero — or a value below one block — selects 4GB.
-	// Scenario validation rejects non-zero values below 2MB.
+	// Validate rejects non-zero values below 2MB.
 	MemoryPerNode uint64 `json:"memory_per_node,omitempty"`
 	// THP enables transparent huge pages.
 	THP bool `json:"thp,omitempty"`
@@ -165,8 +168,8 @@ func (c SystemConfig) normalize() SystemConfig {
 		if frames == 0 {
 			// Below one 2MB block: fall back to the default, exactly as
 			// the pre-scenario facade did (frames 0 selected the kernel
-			// default). Idempotent, and Scenario.Validate rejects the
-			// value with an actionable error before any scenario run.
+			// default). Idempotent, and Validate rejects the value with
+			// an actionable error before any spec runs.
 			frames = 1 << 20
 		}
 	}
@@ -202,6 +205,40 @@ func (c SystemConfig) nodes() int {
 	return n.Sockets + len(tiers)
 }
 
+// Validate checks the machine description and returns the first problem
+// found, phrased to be fixable: non-negative sockets and cores, at least
+// one 2MB block of memory per node, a well-formed tier string whose home
+// sockets exist, and a hardware string naming a backend with valid
+// geometry. It is the one machine check: Scenario, Sweep and Churn
+// validation all call it.
+func (c SystemConfig) Validate() error {
+	if c.Sockets < 0 || c.CoresPerSocket < 0 {
+		return fmt.Errorf("machine sockets/cores must be non-negative")
+	}
+	if c.MemoryPerNode != 0 && c.MemoryPerNode < 2<<20 {
+		return fmt.Errorf("machine memory_per_node %d is below one 2MB block; use at least %d (or 0 for the 4GB default)",
+			c.MemoryPerNode, 2<<20)
+	}
+	m := c.normalize()
+	tiers, err := parseTiers(m.Tiers)
+	if err != nil {
+		return fmt.Errorf("machine tiers: %w", err)
+	}
+	for i, tn := range tiers {
+		if int(tn.Home) >= m.Sockets {
+			return fmt.Errorf("tier %d home socket %d out of range [0,%d)", i, tn.Home, m.Sockets)
+		}
+	}
+	hs, err := ParseHardware(m.Hardware)
+	if err != nil {
+		return fmt.Errorf("machine hardware: %w", err)
+	}
+	if err := hs.translateSpec().Validate(); err != nil {
+		return fmt.Errorf("machine hardware %q: %w", m.Hardware, err)
+	}
+	return nil
+}
+
 // System is a simulated NUMA machine running the Mitosis-enabled kernel.
 type System struct {
 	k   *kernel.Kernel
@@ -211,7 +248,10 @@ type System struct {
 	procs map[string]*Proc
 }
 
-// NewSystem boots a machine.
+// NewSystem boots a machine. cfg must pass Validate, so check configs
+// from untrusted input first: NewSystem panics on the configs Validate
+// rejects, except that a MemoryPerNode below one 2MB block boots the 4GB
+// default.
 func NewSystem(cfg SystemConfig) *System {
 	norm := cfg.normalize()
 	tiers, err := parseTiers(norm.Tiers)
@@ -222,12 +262,8 @@ func NewSystem(cfg SystemConfig) *System {
 	if err != nil {
 		panic(fmt.Sprintf("mitosis: invalid SystemConfig.Hardware: %v", err))
 	}
-	topo := numa.NewTopology(norm.Sockets, norm.CoresPerSocket)
-	if len(tiers) > 0 {
-		topo = numa.NewTieredTopology(norm.Sockets, norm.CoresPerSocket, tiers)
-	}
 	k := kernel.New(kernel.Config{
-		Topology:      topo,
+		Topology:      numa.NewTieredTopology(norm.Sockets, norm.CoresPerSocket, tiers),
 		FramesPerNode: norm.MemoryPerNode / 4096,
 		Hardware:      hs.translateSpec(),
 	})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	mitosis "github.com/mitosis-project/mitosis-sim"
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/metrics"
@@ -25,11 +26,8 @@ func RunAblationPropagation(cfg Config) (*metrics.Table, error) {
 		Columns: []string{"Strategy", "Kernel cycles", "vs ring"},
 	}
 	measure := func(prop core.Propagation) (numa.Cycles, error) {
-		k := cfg.newKernel(false)
+		k := mitosis.NewSystem(cfg.machine(false)).Kernel()
 		k.Backend().SetPropagation(prop)
-		k.Sysctl().Mode = core.ModePerProcess
-		k.Sysctl().PageCacheTarget = 64
-		k.ApplySysctl()
 		p, err := k.CreateProcess(kernel.ProcessOpts{Name: "prop", Home: 0, DataPolicy: kernel.Interleave})
 		if err != nil {
 			return 0, err
@@ -137,7 +135,7 @@ func RunAblationPageCache(cfg Config) (*metrics.Table, error) {
 		Columns: []string{"Page cache", "replication on full node"},
 	}
 	for _, reserve := range []bool{false, true} {
-		k := cfg.newKernel(false)
+		k := cfg.newKernel()
 		k.Sysctl().Mode = core.ModePerProcess
 		if reserve {
 			k.Sysctl().PageCacheTarget = 256
@@ -183,10 +181,7 @@ func RunAblationAutoPolicy(cfg Config) (*metrics.Table, error) {
 		Title:   "Ablation: counter-based automatic replication policy (paper §6.1)",
 		Columns: []string{"Phase", "cycles/op", "walk%", "replicated"},
 	}
-	k := cfg.newKernel(false)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := mitosis.NewSystem(cfg.machine(false)).Kernel()
 	w := cfg.workload(cloneMS("XSBench"))
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "auto", Home: 0, DataLocality: w.DataLocality()})
 	if err != nil {

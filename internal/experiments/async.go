@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	mitosis "github.com/mitosis-project/mitosis-sim"
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/metrics"
@@ -26,10 +27,7 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 		Columns: []string{"Mode", "app blocked (Kcyc)", "copy work (Kcyc)", "steady cyc/op"},
 	}
 	for _, background := range []bool{false, true} {
-		k := cfg.newKernel(false)
-		k.Sysctl().Mode = core.ModePerProcess
-		k.Sysctl().PageCacheTarget = 64
-		k.ApplySysctl()
+		k := mitosis.NewSystem(cfg.machine(false)).Kernel()
 		w := cfg.workload(cloneMS("XSBench"))
 		p, err := k.CreateProcess(kernel.ProcessOpts{Name: w.Name(), Home: 0, DataLocality: w.DataLocality()})
 		if err != nil {

@@ -60,7 +60,7 @@ func RunEngineBench(cfg Config) (*EngineBenchResult, error) {
 	cfg = cfg.fill()
 
 	setup := func() (*workloads.Env, workloads.Workload, error) {
-		k := cfg.newKernel(false)
+		k := cfg.newKernel()
 		w := cfg.workload(workloads.NewGUPS())
 		p, err := k.CreateProcess(kernel.ProcessOpts{Name: w.Name(), Home: 0, DataLocality: w.DataLocality()})
 		if err != nil {

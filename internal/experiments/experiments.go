@@ -81,11 +81,10 @@ func (c Config) fill() Config {
 	return c
 }
 
-// newKernel builds a fresh machine+kernel for one experiment run.
-func (c Config) newKernel(thp bool) *kernel.Kernel {
-	k := kernel.New(kernel.Config{FramesPerNode: c.FramesPerNode})
-	k.SetTHP(thp)
-	return k
+// newKernel builds a fresh machine+kernel for one experiment run whose
+// boot differs on purpose from mitosis.NewSystem's (no facade sysctl).
+func (c Config) newKernel() *kernel.Kernel {
+	return kernel.New(kernel.Config{FramesPerNode: c.FramesPerNode})
 }
 
 // machine translates the experiment scale into a public machine spec (the
@@ -110,29 +109,6 @@ func engineMode(m workloads.Mode) mitosis.EngineMode {
 	default:
 		return mitosis.AutoEngine
 	}
-}
-
-// resultFrom converts a measured phase back into the internal counter
-// shape the figure drivers consume. The raw per-core counters are read
-// off the machine: valid because the measured phase is the scenario's
-// final engine run, so the machine still holds exactly its counters.
-func resultFrom(ph *mitosis.PhaseResult, k *kernel.Kernel) *workloads.Result {
-	c := ph.Counters
-	res := &workloads.Result{
-		Cycles:             numa.Cycles(c.Cycles),
-		WalkCycles:         numa.Cycles(c.WalkCycles),
-		TotalCycles:        numa.Cycles(c.TotalCycles),
-		Walks:              c.Walks,
-		Ops:                c.Ops,
-		RemoteWalkAccesses: c.WalkRemoteAccesses,
-		WalkMemAccesses:    c.WalkMemAccesses,
-		WalkLLCHits:        c.WalkLLCHits,
-		RemoteWalkCycles:   numa.Cycles(c.RemoteWalkCycles),
-	}
-	for _, core := range firstProcess(k).Cores() {
-		res.PerCore = append(res.PerCore, k.Machine().Stats(core))
-	}
-	return res
 }
 
 // workload instantiates a scaled copy of the named workload. A zero Scale

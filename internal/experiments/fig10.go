@@ -40,11 +40,11 @@ func RunFig10(cfg Config, thp bool) (*metrics.Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			norm := float64(res.Cycles) / float64(base.Cycles)
+			norm := float64(res.Counters.Cycles) / float64(base.Counters.Cycles)
 			bar := metrics.Bar{
 				Config:     prefix + c.Name,
 				Normalized: norm,
-				WalkFrac:   res.WalkCycleFraction(),
+				WalkFrac:   res.Counters.WalkCycleFraction(),
 			}
 			if c.MitosisMigrate && rpi > 0 {
 				bar.Improvement = rpi / norm
@@ -76,12 +76,12 @@ func RunFig6(cfg Config) (*metrics.Figure, error) {
 				return nil, err
 			}
 			if c.Name == "LP-LD" {
-				baseCycles = float64(res.Cycles)
+				baseCycles = float64(res.Counters.Cycles)
 			}
 			group.Bars = append(group.Bars, metrics.Bar{
 				Config:     c.Name,
-				Normalized: float64(res.Cycles) / baseCycles,
-				WalkFrac:   res.WalkCycleFraction(),
+				Normalized: float64(res.Counters.Cycles) / baseCycles,
+				WalkFrac:   res.Counters.WalkCycleFraction(),
 			})
 		}
 		fig.Group = append(fig.Group, group)
@@ -115,13 +115,13 @@ func RunFig11(cfg Config) (*metrics.Figure, error) {
 				return nil, err
 			}
 			if baseCycles == 0 {
-				baseCycles = float64(res.Cycles)
+				baseCycles = float64(res.Counters.Cycles)
 			}
-			norm := float64(res.Cycles) / baseCycles
+			norm := float64(res.Counters.Cycles) / baseCycles
 			bar := metrics.Bar{
 				Config:     c.Name,
 				Normalized: norm,
-				WalkFrac:   res.WalkCycleFraction(),
+				WalkFrac:   res.Counters.WalkCycleFraction(),
 			}
 			if c.MitosisMigrate && rpi > 0 {
 				bar.Improvement = rpi / norm

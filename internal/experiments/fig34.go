@@ -89,8 +89,8 @@ func RunFig1(cfg Config) (string, error) {
 		return "", err
 	}
 	out += fmt.Sprintf("Canneal multi-socket: first-touch %.3f vs +Mitosis %.3f -> %.2fx\n",
-		1.0, float64(mres.Cycles)/float64(baseRes.Cycles),
-		float64(baseRes.Cycles)/float64(mres.Cycles))
+		1.0, float64(mres.Counters.Cycles)/float64(baseRes.Counters.Cycles),
+		float64(baseRes.Counters.Cycles)/float64(mres.Counters.Cycles))
 
 	// Bottom-right: GUPS local / remote(interfere) / Mitosis.
 	var cycles [3]float64
@@ -105,7 +105,7 @@ func RunFig1(cfg Config) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		cycles[i] = float64(res.Cycles)
+		cycles[i] = float64(res.Counters.Cycles)
 	}
 	out += "GUPS workload migration: "
 	for i, l := range labels {

@@ -35,11 +35,11 @@ func RunFig9(cfg Config, thp bool) (*metrics.Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			norm := float64(res.Cycles) / float64(base.Cycles)
+			norm := float64(res.Counters.Cycles) / float64(base.Counters.Cycles)
 			bar := metrics.Bar{
 				Config:     prefix + pol.Name,
 				Normalized: norm,
-				WalkFrac:   res.WalkCycleFraction(),
+				WalkFrac:   res.Counters.WalkCycleFraction(),
 			}
 			if pol.Mitosis && prev > 0 {
 				bar.Improvement = prev / norm

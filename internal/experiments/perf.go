@@ -247,7 +247,7 @@ func perfFaultStorm(cfg Config) (PerfRow, error) {
 }
 
 func perfParallelGUPS(cfg Config) (PerfRow, error) {
-	k := cfg.newKernel(false)
+	k := cfg.newKernel()
 	w := cfg.workload(workloads.NewGUPS())
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: w.Name(), Home: 0, DataLocality: w.DataLocality()})
 	if err != nil {

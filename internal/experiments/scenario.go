@@ -11,7 +11,6 @@ import (
 	mitosis "github.com/mitosis-project/mitosis-sim"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
-	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
 // MSPolicy is a multi-socket data-placement configuration (Table 3 of the
@@ -68,17 +67,22 @@ func MSScenario(cfg Config, name string, pol MSPolicy, thp bool) mitosis.Scenari
 }
 
 // msRun executes one multi-socket configuration through the scenario API.
-// It returns the measured counters (initialization excluded) and the
-// kernel for post-inspection (page-table dumps).
-func msRun(cfg Config, name string, pol MSPolicy, thp bool) (*workloads.Result, *kernel.Kernel, error) {
+// It returns the measured phase (initialization excluded) and the kernel
+// for post-inspection (page-table dumps).
+func msRun(cfg Config, name string, pol MSPolicy, thp bool) (*mitosis.PhaseResult, *kernel.Kernel, error) {
 	cfg = cfg.fill()
-	sc := MSScenario(cfg, name, pol, thp)
+	return runMeasured(cfg, MSScenario(cfg, name, pol, thp), name, "ms "+name+"/"+pol.Name)
+}
+
+// runMeasured runs sc on a freshly booted machine and returns process
+// name's measured phase and the kernel; label names the run in errors.
+func runMeasured(cfg Config, sc mitosis.Scenario, name, label string) (*mitosis.PhaseResult, *kernel.Kernel, error) {
 	sys := mitosis.NewSystem(sc.Machine)
 	rr, err := sys.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
 	if err != nil {
-		return nil, nil, runErr("ms "+name+"/"+pol.Name, err)
+		return nil, nil, runErr(label, err)
 	}
-	return resultFrom(rr.Measured(name), sys.Kernel()), sys.Kernel(), nil
+	return rr.Measured(name), sys.Kernel(), nil
 }
 
 // WMConfig is one workload-migration placement configuration (Table 2 of
@@ -161,13 +165,7 @@ func WMScenario(cfg Config, name string, c WMConfig, thp bool, fragmentation flo
 
 // wmRun executes one workload-migration configuration through the
 // scenario API.
-func wmRun(cfg Config, name string, c WMConfig, thp bool, fragmentation float64) (*workloads.Result, *kernel.Kernel, error) {
+func wmRun(cfg Config, name string, c WMConfig, thp bool, fragmentation float64) (*mitosis.PhaseResult, *kernel.Kernel, error) {
 	cfg = cfg.fill()
-	sc := WMScenario(cfg, name, c, thp, fragmentation)
-	sys := mitosis.NewSystem(sc.Machine)
-	rr, err := sys.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
-	if err != nil {
-		return nil, nil, runErr("wm "+name+"/"+c.Name, err)
-	}
-	return resultFrom(rr.Measured(name), sys.Kernel()), sys.Kernel(), nil
+	return runMeasured(cfg, WMScenario(cfg, name, c, thp, fragmentation), name, "wm "+name+"/"+c.Name)
 }

@@ -14,7 +14,7 @@ import (
 // (mmap with populate, mprotect, munmap) over a region of the given size,
 // with or without 4-way page-table replication.
 func vmaOpCycles(cfg Config, regionBytes uint64, replicate bool) (mmapCy, protectCy, unmapCy numa.Cycles, err error) {
-	k := cfg.newKernel(false)
+	k := cfg.newKernel()
 	if replicate {
 		k.Sysctl().Mode = core.ModePerProcess
 		k.Sysctl().PageCacheTarget = 128

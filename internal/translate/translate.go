@@ -225,9 +225,17 @@ func (s Spec) resolve() (tlb.Config, mmucache.PSCConfig, error) {
 		if n < 0 {
 			return tlbCfg, pscCfg, fmt.Errorf("translate: PSC level %d: negative entry count %d", l, n)
 		}
+		if n > maxWays {
+			return tlbCfg, pscCfg, fmt.Errorf("translate: PSC level %d: %d entries exceed the limit of %d", l, n, maxWays)
+		}
 	}
 	return tlbCfg, pscCfg, nil
 }
+
+// Geometry limits. TLB sets and PSC rows keep their LRU order in bytes,
+// so associativity (and a fully associative PSC row) stops at 256; the
+// entry cap keeps every core's arrays small enough to allocate.
+const maxWays, maxEntries = 256, 1 << 16
 
 // checkArray mirrors the tlb array invariants as errors instead of the
 // constructor's panics, so bad geometry surfaces at validation time.
@@ -240,6 +248,10 @@ func checkArray(name string, entries, ways int, allowZero bool) error {
 	}
 	if n := entries / ways; n&(n-1) != 0 {
 		return fmt.Errorf("translate: %s: set count %d must be a power of two", name, n)
+	}
+	if entries > maxEntries || ways > maxWays {
+		return fmt.Errorf("translate: %s: %d entries (%d-way) exceed the limits of %d entries and %d ways",
+			name, entries, ways, maxEntries, maxWays)
 	}
 	return nil
 }

@@ -52,6 +52,12 @@ func TestSpecErrors(t *testing.T) {
 	badSets.L2Entries, badSets.L2Ways = 48, 8
 	negPSC := mmucache.DefaultPSCConfig()
 	negPSC.EntriesPerLevel[3] = -1
+	wideWays := tlb.DefaultConfig()
+	wideWays.L2Entries, wideWays.L2Ways = 512, 512
+	hugeTLB := tlb.DefaultConfig()
+	hugeTLB.L1Entries4K, hugeTLB.L1Ways4K = 1<<17, 4
+	hugePSC := mmucache.DefaultPSCConfig()
+	hugePSC.EntriesPerLevel[2] = 257
 	cases := []struct {
 		name string
 		spec Spec
@@ -63,6 +69,9 @@ func TestSpecErrors(t *testing.T) {
 		{"bad ways multiple", Spec{TLB: badWays}, "multiple of ways"},
 		{"non-power-of-two sets", Spec{TLB: badSets}, "power of two"},
 		{"negative PSC row", Spec{PSC: &negPSC}, "negative entry count"},
+		{"ways beyond a byte of LRU order", Spec{TLB: wideWays}, "exceed the limits"},
+		{"entries beyond the cap", Spec{TLB: hugeTLB}, "exceed the limits"},
+		{"PSC row beyond a byte of LRU order", Spec{PSC: &hugePSC}, "exceed the limit of 256"},
 	}
 	deps := testDeps()
 	for _, c := range cases {

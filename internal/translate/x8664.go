@@ -290,8 +290,8 @@ func newX8664(name string, levels uint8, vaBits int, tlbCfg tlb.Config, pscCfg m
 	}
 }
 
-func (b *x8664) Name() string   { return b.name }
-func (b *x8664) Levels() uint8  { return b.levels }
+func (b *x8664) Name() string  { return b.name }
+func (b *x8664) Levels() uint8 { return b.levels }
 func (b *x8664) Geometry() Geometry {
 	return Geometry{
 		Backend: b.name,

@@ -2,6 +2,7 @@ package mitosis
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -311,6 +312,81 @@ func TestSweepLimit(t *testing.T) {
 		a, b := full.Cells[i], part.Cells[i]
 		if a.Name != b.Name || a.Outcome != b.Outcome {
 			t.Errorf("cell %d diverges between full and limited runs", i)
+		}
+	}
+}
+
+// TestSweepInvalidMachine: an invalid machine — on the sweep itself or on
+// a tiers/hardware axis value — fails Validate, and every entry point
+// returns that error instead of panicking while booting a cell machine.
+func TestSweepInvalidMachine(t *testing.T) {
+	for _, mutate := range []func(*Sweep){
+		func(s *Sweep) { s.Machine.Tiers = "bogus" },
+		func(s *Sweep) { s.Machine.Hardware = "bogus" },
+		func(s *Sweep) { s.Machine.Sockets = -1 },
+		func(s *Sweep) { s.Tiers = []string{"", "cxl@0,bogus"} },
+		func(s *Sweep) { s.Hardware = []string{"", "x8664:l2=48/8"} },
+	} {
+		sw := testSweep()
+		mutate(&sw)
+		what := fmt.Sprintf("machine %+v, tiers %q, hardware %q", sw.Machine, sw.Tiers, sw.Hardware)
+		if err := sw.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", what)
+			continue
+		}
+		if _, err := sw.Cell(0); err == nil {
+			t.Errorf("%s: Cell accepted it", what)
+		}
+		if _, err := sw.ReplayCell(0); err == nil {
+			t.Errorf("%s: ReplayCell accepted it", what)
+		}
+		if _, err := RunSweep(sw, WithSweepWorkers(1), WithSweepLimit(1)); err == nil {
+			t.Errorf("%s: RunSweep accepted it", what)
+		}
+	}
+}
+
+// TestSweepFaultNodesPerTiers: a fault plan naming a tier node is valid
+// exactly when every tiers-axis machine has that node, the same node
+// count each cell's own Scenario.Validate checks against.
+func TestSweepFaultNodesPerTiers(t *testing.T) {
+	base := Sweep{
+		Name:       "fault-tiers",
+		Machine:    SystemConfig{Sockets: 2, CoresPerSocket: 2, MemoryPerNode: 64 << 20},
+		Workloads:  []string{"GUPS"},
+		Scale:      1.0 / 64,
+		MeasureOps: 400,
+	}
+	cases := []struct {
+		tiers  []string
+		faults string
+		ok     bool
+	}{
+		{[]string{"cxl@0"}, "offline:r4:n2", true},
+		{[]string{"cxl@0", "nvm@1"}, "offline:r4:n2", true},
+		{[]string{"", "cxl@0"}, "offline:r4:n2", false},
+		{[]string{"cxl@0,nvm@1"}, "offline:r4:n3", true},
+		{[]string{"cxl@0,nvm@1", "cxl@0"}, "offline:r4:n3", false},
+	}
+	for _, c := range cases {
+		sw := base
+		sw.Tiers, sw.Faults = c.tiers, []string{c.faults}
+		err := sw.Validate()
+		if (err == nil) != c.ok {
+			t.Errorf("tiers %q faults %q: Validate() = %v, want ok=%v", c.tiers, c.faults, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		for i := 0; i < sw.Cells(); i++ {
+			sc, err := sw.Cell(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.Validate(); err != nil {
+				t.Errorf("tiers %q faults %q: cell %d invalid: %v", c.tiers, c.faults, i, err)
+			}
 		}
 	}
 }
