@@ -19,8 +19,9 @@ import (
 type EngineMode int
 
 const (
-	// AutoEngine picks ParallelEngine when the run spans more than one
-	// socket and the host has spare CPUs, SequentialEngine otherwise.
+	// AutoEngine is the default and currently runs SequentialEngine: on
+	// every host measured, ParallelEngine's per-round goroutine handoffs
+	// cost more than overlapping the sockets gained.
 	AutoEngine EngineMode = iota
 	// SequentialEngine runs every core on the calling goroutine — the
 	// reference engine.

@@ -47,8 +47,8 @@ type Config struct {
 	// not meaningful).
 	Scale float64
 	// Engine selects the execution engine mode for measured runs. The
-	// default (workloads.Auto) parallelizes multi-socket runs; results
-	// are identical across modes by the engine's determinism contract.
+	// default is workloads.Auto; results are identical across modes by
+	// the engine's determinism contract.
 	Engine workloads.Mode
 }
 

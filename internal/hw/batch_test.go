@@ -183,3 +183,43 @@ func TestApplyCoherenceToSkipsOwnSocket(t *testing.T) {
 		t.Error("DrainCoherence applied events after ClearCoherence")
 	}
 }
+
+// TestCoherencePending: the engine skips a barrier's apply step when no
+// core has a buffered event, so CoherencePending must see exactly the
+// events a 4KB store walk buffers, keep seeing them across an apply, and
+// stop once they are cleared.
+func TestCoherencePending(t *testing.T) {
+	fx := newFixture(t)
+	va := pt.VirtAddr(0x1000)
+	fx.mapPage(t, va, 0)
+	core0, core1 := numa.CoreID(0), numa.CoreID(2) // sockets 0 and 1
+	cores := []numa.CoreID{core0, core1}
+	fx.m.LoadContext(core0, fx.mp.Root(), 4)
+	fx.m.LoadContext(core1, fx.mp.Root(), 4)
+	if fx.m.CoherencePending(cores) {
+		t.Fatal("fresh machine reports pending coherence")
+	}
+	if err := fx.m.AccessBatch(core1, []AccessOp{{VA: va}}); err != nil {
+		t.Fatal(err)
+	}
+	if fx.m.CoherencePending(cores) {
+		t.Error("a read walk buffered a coherence event")
+	}
+	if err := fx.m.AccessBatch(core0, []AccessOp{{VA: va, Write: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if !fx.m.CoherencePending(cores) {
+		t.Fatal("4KB store walk left no pending coherence")
+	}
+	if fx.m.CoherencePending([]numa.CoreID{core1}) {
+		t.Error("pending reported for a core that buffered nothing")
+	}
+	fx.m.ApplyCoherenceTo(1, cores)
+	if !fx.m.CoherencePending(cores) {
+		t.Error("ApplyCoherenceTo dropped the buffer other targets still need")
+	}
+	fx.m.ClearCoherence(cores)
+	if fx.m.CoherencePending(cores) {
+		t.Error("pending coherence survived ClearCoherence")
+	}
+}

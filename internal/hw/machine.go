@@ -686,9 +686,8 @@ func (m *Machine) foldCoreSamplesAtomic(c *coreState, socket numa.SocketID) {
 // ApplyCoherenceTo applies buffered coherence events from the given cores
 // (in the given order) to target's LLC only, skipping cores that live on
 // target — a socket's own store walks do not invalidate its own cache.
-// The parallel engine has every socket run this against its own LLC at a
-// round barrier, so the apply phase parallelizes across targets while each
-// LLC still sees events in the canonical core order. Buffers are left in
+// The round engine runs this for every target socket at a round barrier,
+// so each LLC sees events in the canonical core order. Buffers are left in
 // place (other targets still need them); clear them afterwards with
 // ClearCoherence at the same barrier.
 func (m *Machine) ApplyCoherenceTo(target numa.SocketID, cores []numa.CoreID) {
@@ -706,6 +705,19 @@ func (m *Machine) ApplyCoherenceTo(target numa.SocketID, cores []numa.CoreID) {
 			}
 		}
 	}
+}
+
+// CoherencePending reports whether any of the given cores has buffered
+// coherence events that no apply step has cleared yet. With none pending,
+// ApplyCoherenceTo and ClearCoherence are no-ops, so a round barrier may
+// skip its apply step.
+func (m *Machine) CoherencePending(cores []numa.CoreID) bool {
+	for _, core := range cores {
+		if len(m.core(core).pending) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ClearCoherence drops the buffered coherence events of the given cores

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,11 +18,18 @@ import (
 // mode and returns the full Result, including the raw per-core counters.
 func engineRun(t *testing.T, mk func() Workload, mode Mode, sockets, coresPerSocket, ops int) *Result {
 	t.Helper()
+	return engineRunCfg(t, shrink(mk()), sockets, coresPerSocket, ops,
+		func(*Env) EngineConfig { return EngineConfig{Mode: mode} })
+}
+
+// engineRunCfg is engineRun for an already sized workload, under the engine
+// configuration cfg builds from the run's environment.
+func engineRunCfg(t *testing.T, w Workload, sockets, coresPerSocket, ops int, cfg func(*Env) EngineConfig) *Result {
+	t.Helper()
 	k := kernel.New(kernel.Config{
 		Topology:      numa.NewTopology(sockets, coresPerSocket),
 		FramesPerNode: 65536,
 	})
-	w := shrink(mk())
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: w.Name(), Home: 0, DataLocality: w.DataLocality()})
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +47,106 @@ func engineRun(t *testing.T, mk func() Workload, mode Mode, sockets, coresPerSoc
 	if err := w.Setup(env); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWith(env, w, ops, EngineConfig{Mode: mode})
+	res, err := RunWith(env, w, ops, cfg(env))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// recordingWorkload wraps a workload so each thread's Step records the ops
+// it yields, in call order. Each thread appends only to its own stream.
+type recordingWorkload struct {
+	Workload
+	streams [][]hw.AccessOp
+}
+
+func (r *recordingWorkload) NewThread(env *Env, thread int) Step {
+	step := r.Workload.NewThread(env, thread)
+	for len(r.streams) <= thread {
+		r.streams = append(r.streams, nil)
+	}
+	return func() (pt.VirtAddr, bool) {
+		va, write := step()
+		r.streams[thread] = append(r.streams[thread], hw.AccessOp{VA: va, Write: write})
+		return va, write
+	}
+}
+
+// checkStreams asserts that every recorded thread stream is exactly the
+// first ops ops of a fresh generator for that thread: the engine calls each
+// Step once per op, in order, whatever goroutine runs the thread.
+func checkStreams(t *testing.T, label string, env *Env, r *recordingWorkload, threads, ops int) {
+	t.Helper()
+	if len(r.streams) != threads {
+		t.Fatalf("%s: %d thread streams, want %d", label, len(r.streams), threads)
+	}
+	for ti, got := range r.streams {
+		step := r.Workload.NewThread(env, ti)
+		want := make([]hw.AccessOp, ops)
+		for i := range want {
+			want[i].VA, want[i].Write = step()
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: thread %d op stream diverged from its generator (%d ops recorded, want %d)",
+				label, ti, len(got), ops)
+		}
+	}
+}
+
+// TestOpStreamsIndependentOfEngine: generating ops on the goroutine that
+// runs the thread must not change any thread's op stream — under
+// Sequential, forced Parallel, and a policy tick that migrates the process
+// and rebinds the engine mid-run.
+func TestOpStreamsIndependentOfEngine(t *testing.T) {
+	const sockets, perSocket, ops = 4, 2, 1000
+	for _, mode := range []Mode{Sequential, Parallel} {
+		r := &recordingWorkload{Workload: shrink(NewCannealMS())}
+		var env *Env
+		engineRunCfg(t, r, sockets, perSocket, ops, func(e *Env) EngineConfig {
+			env = e
+			return EngineConfig{Mode: mode}
+		})
+		checkStreams(t, fmt.Sprintf("mode %v", mode), env, r, sockets*perSocket, ops)
+	}
+	for _, mode := range []Mode{Sequential, Parallel} {
+		r := &recordingWorkload{Workload: shrink(NewGUPS())}
+		_, log, socket, env := migrationRun(t, r, mode)
+		if socket != 0 || len(log) == 0 {
+			t.Fatalf("mode %v: process not migrated (socket %d, log %v)", mode, socket, log)
+		}
+		checkStreams(t, fmt.Sprintf("rebind mode %v", mode), env, r, 1, migrationOps)
+	}
+}
+
+// barrierProbe is a RoundTicker that classifies completed rounds from the
+// counters: a round whose barrier invalidated LLC lines had coherence
+// pending, and a round without a single page walk had none (only store
+// walks buffer events).
+type barrierProbe struct {
+	m             *hw.Machine
+	cores         []numa.CoreID
+	sockets       int
+	walks, invals uint64
+	pending, idle int
+}
+
+func (b *barrierProbe) Tick(int) error {
+	var walks, invals uint64
+	for _, c := range b.cores {
+		walks += b.m.Stats(c).Walks
+	}
+	for s := range b.sockets {
+		invals += b.m.LLCStats(numa.SocketID(s)).Invalidates
+	}
+	if invals > b.invals {
+		b.pending++
+	}
+	if walks == b.walks {
+		b.idle++
+	}
+	b.walks, b.invals = walks, invals
+	return nil
 }
 
 // TestParallelMatchesSequential is the engine's determinism contract: the
@@ -76,12 +180,43 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestParallelMatchesSequentialSharedLLC pins the harder half of the
 // contract: multiple cores per socket share an LLC, so the engine must
 // serialize same-socket cores in canonical order to stay deterministic.
+// The STREAM case runs one op per core per round: every thread crosses a
+// page (a store walk) once in 64 rounds, so barriers with pending coherence
+// interleave with barriers that skip the apply step.
 func TestParallelMatchesSequentialSharedLLC(t *testing.T) {
-	mk := func() Workload { return NewGUPS() }
-	seq := engineRun(t, mk, Sequential, 4, 2, 2000)
-	par := engineRun(t, mk, Parallel, 4, 2, 2000)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel result diverged with 2 cores/socket:\nseq: %+v\npar: %+v", seq, par)
+	const sockets, perSocket = 4, 2
+	cases := []struct {
+		name  string
+		mk    func() Workload
+		chunk int
+		mixed bool
+	}{
+		{"GUPS", func() Workload { return NewGUPS() }, DefaultChunk, false},
+		{"STREAM-chunk1", func() Workload { return NewSTREAM() }, 1, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var probes []*barrierProbe
+			run := func(mode Mode) *Result {
+				return engineRunCfg(t, shrink(c.mk()), sockets, perSocket, 2000, func(env *Env) EngineConfig {
+					probe := &barrierProbe{m: env.K.Machine(), cores: env.P.Cores(), sockets: sockets}
+					probes = append(probes, probe)
+					return EngineConfig{Mode: mode, Chunk: c.chunk, Ticker: probe}
+				})
+			}
+			seq := run(Sequential)
+			par := run(Parallel)
+			if !reflect.DeepEqual(seq, par) {
+				t.Errorf("parallel result diverged with 2 cores/socket:\nseq: %+v\npar: %+v", seq, par)
+			}
+			if c.mixed {
+				for _, p := range probes {
+					if p.pending == 0 || p.idle == 0 {
+						t.Errorf("rounds not mixed: %d with coherence applied, %d without walks", p.pending, p.idle)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -182,47 +317,59 @@ func TestStaticPolicyIsCounterTransparent(t *testing.T) {
 	}
 }
 
+// migrationOps is migrationRun's ops per thread.
+const migrationOps = 3000
+
+// migrationRun executes w (a shrunk GUPS) under a CostAdaptive policy
+// engine whose tick migrates the single-threaded process from socket 2 to
+// socket 0 mid-run, and returns the result, the action log, the socket the
+// process ended on, and the run's environment.
+func migrationRun(t *testing.T, w Workload, mode Mode) (*Result, []kernel.ActionRecord, numa.SocketID, *Env) {
+	t.Helper()
+	k := kernel.New(kernel.Config{
+		Topology:      numa.NewTopology(4, 1),
+		FramesPerNode: 65536,
+	})
+	k.Sysctl().PageCacheTarget = 64
+	k.ApplySysctl()
+	// Threads on socket 2; data and table land on node 0 (Bind +
+	// PTFixed): the cost model should migrate the threads to socket 0
+	// rather than copy the table next to remote data.
+	p, err := k.CreateProcess(kernel.ProcessOpts{
+		Name: w.Name(), Home: 2,
+		DataPolicy: kernel.Bind, BindNode: 0,
+		PTPolicy: kernel.PTFixed, PTNode: 0,
+		DataLocality: w.DataLocality(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunOn(p, []numa.CoreID{k.Topology().FirstCoreOf(2)}); err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(k, p, false, 42)
+	if err := w.Setup(env); err != nil {
+		t.Fatal(err)
+	}
+	pol, err := k.NewPolicy("costadaptive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{})
+	res, err := RunWith(env, w, migrationOps, EngineConfig{Mode: mode, Ticker: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, eng.ActionLog(), k.Topology().SocketOf(p.Cores()[0]), env
+}
+
 // TestPolicyMigrationRebindsEngine: a CostAdaptive tick that migrates the
 // process mid-run must rebind the engine's threads to the new cores, with
 // Sequential and Parallel agreeing on every counter.
 func TestPolicyMigrationRebindsEngine(t *testing.T) {
 	run := func(mode Mode) (*Result, []kernel.ActionRecord, numa.SocketID) {
-		k := kernel.New(kernel.Config{
-			Topology:      numa.NewTopology(4, 1),
-			FramesPerNode: 65536,
-		})
-		k.Sysctl().PageCacheTarget = 64
-		k.ApplySysctl()
-		w := shrink(func() Workload { return NewGUPS() }())
-		// Threads on socket 2; data and table land on node 0 (Bind +
-		// PTFixed): the cost model should migrate the threads to socket 0
-		// rather than copy the table next to remote data.
-		p, err := k.CreateProcess(kernel.ProcessOpts{
-			Name: w.Name(), Home: 2,
-			DataPolicy: kernel.Bind, BindNode: 0,
-			PTPolicy: kernel.PTFixed, PTNode: 0,
-			DataLocality: w.DataLocality(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := k.RunOn(p, []numa.CoreID{k.Topology().FirstCoreOf(2)}); err != nil {
-			t.Fatal(err)
-		}
-		env := NewEnv(k, p, false, 42)
-		if err := w.Setup(env); err != nil {
-			t.Fatal(err)
-		}
-		pol, err := k.NewPolicy("costadaptive")
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{})
-		res, err := RunWith(env, w, 3000, EngineConfig{Mode: mode, Ticker: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, eng.ActionLog(), k.Topology().SocketOf(p.Cores()[0])
+		res, log, socket, _ := migrationRun(t, shrink(NewGUPS()), mode)
+		return res, log, socket
 	}
 	seqRes, seqLog, seqSock := run(Sequential)
 	parRes, parLog, parSock := run(Parallel)

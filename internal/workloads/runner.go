@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
@@ -65,9 +64,11 @@ func (r *Result) RemoteWalkCycleFraction() float64 {
 type Mode int
 
 const (
-	// Auto picks Parallel when the run spans more than one socket and the
-	// host has spare CPUs, Sequential otherwise. Safe because the two
-	// modes are counter-identical by construction.
+	// Auto is the default mode. It runs Sequential: on every host
+	// measured, Parallel's per-round goroutine handoffs cost more than
+	// overlapping the sockets gained, even with a host CPU per socket
+	// group. It stays a mode of its own so the default can change without
+	// changing counters: the modes are counter-identical by construction.
 	Auto Mode = iota
 	// Sequential runs every core on the calling goroutine, in canonical
 	// order — the reference engine.
@@ -151,15 +152,17 @@ func RunKeepStatsWith(env *Env, w Workload, opsPerThread int, cfg EngineConfig) 
 // counters) is fully sharded, and each socket's cores run serialized in
 // canonical order on their socket's goroutine, so the shared per-socket
 // LLC sees a deterministic access sequence. Store walks buffer their
-// cross-socket line invalidations; at the round barrier each socket
-// applies the buffered events (again in canonical core order) to its own
-// LLC. No state crosses sockets mid-round except the page-table A/D bits
-// and AutoNUMA samples, whose update order cannot affect any counter —
-// which is why Sequential and Parallel modes are counter-identical.
+// cross-socket line invalidations; at the round barrier the buffered
+// events are applied (again in canonical core order) to every socket's
+// LLC; a barrier with no buffered event skips that apply step. No state
+// crosses sockets mid-round except the page-table A/D bits and AutoNUMA
+// samples, whose update order cannot affect any counter — which is why
+// Sequential and Parallel modes are counter-identical.
 //
-// Operation generation stays on the driving goroutine: workload Step
-// closures are single-threaded by contract, and generating in canonical
-// core order keeps the op streams independent of the mode.
+// Each thread's ops are generated by the goroutine that runs the thread,
+// right before its batch. Every Step closure owns its RNG and cursor, and
+// the barriers order its calls, so the op streams are independent of the
+// mode.
 func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (*Result, error) {
 	cores := slices.Clone(env.P.Cores())
 	if len(cores) == 0 {
@@ -194,13 +197,7 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 	}
 	topo := env.K.Topology()
 	groups, groupSockets := groupBySocket(topo, cores)
-	parallel := false
-	switch cfg.Mode {
-	case Parallel:
-		parallel = true
-	case Auto:
-		parallel = len(groups) > 1 && runtime.GOMAXPROCS(0) > 1
-	}
+	parallel := cfg.Mode == Parallel // Auto runs Sequential; see Auto
 
 	bufs := make([][]hw.AccessOp, len(cores))
 	for i := range bufs {
@@ -210,7 +207,7 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 
 	eng := &engine{
 		m: m, cores: cores, groups: groups, sockets: groupSockets,
-		allSockets: topo.Sockets(), bufs: bufs, errs: errs,
+		allSockets: topo.Sockets(), steps: steps, bufs: bufs, errs: errs,
 	}
 	eng.rebuildBusy()
 	// The engine's round discipline (each socket's cores driven by one
@@ -240,14 +237,6 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 	round := 0
 	for remaining > 0 {
 		n := min(chunk, remaining)
-		// Generate this round's ops in canonical core order.
-		for ti := range eng.cores {
-			buf := bufs[ti][:n]
-			step := steps[ti]
-			for i := range buf {
-				buf[i].VA, buf[i].Write = step()
-			}
-		}
 		eng.round(n, parallel)
 		// Errors surface in canonical order so both modes report the
 		// same failure for the same inputs.
@@ -314,6 +303,7 @@ type engine struct {
 	groups     [][]int // core indices per socket group, canonical order
 	sockets    []numa.SocketID
 	allSockets int
+	steps      []Step // per thread; called only by the thread's goroutine
 	bufs       [][]hw.AccessOp
 	errs       []error
 
@@ -322,10 +312,11 @@ type engine struct {
 	// does not rescan the group list per socket.
 	busySocket []bool
 
-	compute []chan int // per worker: ops this round; closed = exit
-	done    []chan struct{}
-	apply   []chan struct{}
-	applied []chan struct{}
+	// cmd and ack are the parallel workers' channels, one pair per
+	// worker: the coordinator sends the round's op count and waits for
+	// the ack; closing cmd stops the worker.
+	cmd []chan int
+	ack []chan struct{}
 }
 
 // rebuildBusy recomputes the busy-socket mask from the current groups.
@@ -341,12 +332,16 @@ func (e *engine) rebuildBusy() {
 	}
 }
 
-// computeGroup runs one round's batches for group g.
+// computeGroup generates and runs one round's batch of n ops for every
+// thread of group g, in canonical order.
 func (e *engine) computeGroup(g, n int) {
 	for _, ti := range e.groups[g] {
-		if e.errs[ti] == nil {
-			e.errs[ti] = e.m.AccessBatch(e.cores[ti], e.bufs[ti][:n])
+		buf := e.bufs[ti][:n]
+		step := e.steps[ti]
+		for i := range buf {
+			buf[i].VA, buf[i].Write = step()
 		}
+		e.errs[ti] = e.m.AccessBatch(e.cores[ti], buf)
 	}
 }
 
@@ -360,43 +355,39 @@ func (e *engine) applyIdle() {
 	}
 }
 
-// round executes one chunk on every core plus the coherence barrier.
-// In parallel mode the coordinator goroutine doubles as group 0's worker,
-// so a machine with n busy sockets needs only n-1 handoff pairs per phase.
+// round executes one chunk on every core plus the barrier: the coherence
+// apply step when some core buffered an event, then the AutoNUMA sample
+// fold. In parallel mode the coordinator goroutine doubles as group 0's
+// worker, so a machine with n busy sockets needs only n-1 handoff pairs
+// per round; the barrier work runs on the coordinator in both modes.
 func (e *engine) round(n int, parallel bool) {
-	if !parallel {
+	if parallel {
+		for _, c := range e.cmd {
+			c <- n
+		}
+		e.computeGroup(0, n)
+		for _, c := range e.ack {
+			<-c
+		}
+	} else {
 		for g := range e.groups {
 			e.computeGroup(g, n)
 		}
+	}
+	// Every batch of the round has completed and the workers are parked,
+	// so the barrier work below is single-threaded. Applying zero events
+	// moves no counter, so a round without store walks skips the apply
+	// step.
+	if e.m.CoherencePending(e.cores) {
 		for _, s := range e.sockets {
 			e.m.ApplyCoherenceTo(s, e.cores)
 		}
 		e.applyIdle()
+		// Every target socket has applied this round's events: drop them
+		// so the next round's batches start from empty buffers.
 		e.m.ClearCoherence(e.cores)
-		e.m.FoldSampling(e.cores)
-		return
 	}
-	for _, c := range e.compute {
-		c <- n
-	}
-	e.computeGroup(0, n)
-	for _, c := range e.done {
-		<-c
-	}
-	// Every batch of the round has completed: release the apply phase.
-	for _, c := range e.apply {
-		c <- struct{}{}
-	}
-	e.m.ApplyCoherenceTo(e.sockets[0], e.cores)
-	e.applyIdle()
-	for _, c := range e.applied {
-		<-c
-	}
-	// Every target socket has applied this round's events: drop them so
-	// the next round's batches start from empty buffers. The coordinator
-	// then folds the round's AutoNUMA samples in canonical core order (the
-	// workers are parked, so the fold is single-threaded).
-	e.m.ClearCoherence(e.cores)
+	// The fold runs in canonical core order.
 	e.m.FoldSampling(e.cores)
 }
 
@@ -404,33 +395,27 @@ func (e *engine) round(n int, parallel bool) {
 // which the coordinator runs itself.
 func (e *engine) startWorkers() {
 	n := len(e.groups) - 1
-	e.compute = make([]chan int, n)
-	e.done = make([]chan struct{}, n)
-	e.apply = make([]chan struct{}, n)
-	e.applied = make([]chan struct{}, n)
-	for i := 0; i < n; i++ {
-		e.compute[i] = make(chan int)
-		e.done[i] = make(chan struct{})
-		e.apply[i] = make(chan struct{})
-		e.applied[i] = make(chan struct{})
-		go func(i, g int) {
-			for ops := range e.compute[i] {
-				e.computeGroup(g, ops)
-				e.done[i] <- struct{}{}
-				// Compute everywhere has finished once the
-				// coordinator releases the apply phase; applying to
-				// this socket's LLC is now race-free.
-				<-e.apply[i]
-				e.m.ApplyCoherenceTo(e.sockets[g], e.cores)
-				e.applied[i] <- struct{}{}
-			}
-		}(i, i+1)
+	e.cmd = make([]chan int, n)
+	e.ack = make([]chan struct{}, n)
+	for i := range n {
+		e.cmd[i] = make(chan int)
+		e.ack[i] = make(chan struct{})
+		go e.work(i+1, e.cmd[i], e.ack[i])
+	}
+}
+
+// work is the loop of group g's worker goroutine: compute each round's
+// ops, then acknowledge.
+func (e *engine) work(g int, cmd <-chan int, ack chan<- struct{}) {
+	for n := range cmd {
+		e.computeGroup(g, n)
+		ack <- struct{}{}
 	}
 }
 
 // stopWorkers shuts the worker goroutines down.
 func (e *engine) stopWorkers() {
-	for _, c := range e.compute {
+	for _, c := range e.cmd {
 		close(c)
 	}
 }
