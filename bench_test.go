@@ -331,43 +331,38 @@ func BenchmarkMicroAccessTLBMiss(b *testing.B) {
 	m.DrainCoherence([]numa.CoreID{0})
 }
 
-// BenchmarkMicroEngineParallelGUPS measures the full parallel engine on a
-// 4-socket GUPS run (the acceptance workload of the engine refactor).
+// BenchmarkMicroEngineParallelGUPS measures the full engine on a 4-socket
+// GUPS run (the acceptance workload of the engine refactor).
 func BenchmarkMicroEngineParallelGUPS(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		m    workloads.Mode
-	}{{"seq", workloads.Sequential}, {"par", workloads.Parallel}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			k := kernel.New(kernel.Config{})
-			p, err := k.CreateProcess(kernel.ProcessOpts{Name: "gups", Home: 0})
+	b.Run("seq", func(b *testing.B) {
+		b.ReportAllocs()
+		k := kernel.New(kernel.Config{})
+		p, err := k.CreateProcess(kernel.ProcessOpts{Name: "gups", Home: 0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		topo := k.Topology()
+		cores := make([]numa.CoreID, topo.Sockets())
+		for s := range cores {
+			cores[s] = topo.FirstCoreOf(numa.SocketID(s))
+		}
+		if err := k.RunOn(p, cores); err != nil {
+			b.Fatal(err)
+		}
+		w := workloads.NewGUPS()
+		env := workloads.NewEnv(k, p, false, 42)
+		if err := w.Setup(env); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := workloads.Run(env, w, 20000)
 			if err != nil {
 				b.Fatal(err)
 			}
-			topo := k.Topology()
-			cores := make([]numa.CoreID, topo.Sockets())
-			for s := range cores {
-				cores[s] = topo.FirstCoreOf(numa.SocketID(s))
-			}
-			if err := k.RunOn(p, cores); err != nil {
-				b.Fatal(err)
-			}
-			w := workloads.NewGUPS()
-			env := workloads.NewEnv(k, p, false, 42)
-			if err := w.Setup(env); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := workloads.RunWith(env, w, 20000, workloads.EngineConfig{Mode: mode.m})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Ops), "sim-ops")
-			}
-		})
-	}
+			b.ReportMetric(float64(res.Ops), "sim-ops")
+		}
+	})
 }
 
 // BenchmarkMicroSetPTEReplicated measures one PTE store propagated to four

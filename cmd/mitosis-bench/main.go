@@ -7,12 +7,12 @@
 //	mitosis-bench -replay FILE
 //
 // Experiments: fig1 fig3 fig4 fig6 fig9a fig9b fig10a fig10b fig11
-// table4 table5 table6 ablations engine policy scenario virt tier hwcmp
+// table4 table5 table6 ablations policy scenario virt tier hwcmp faults
 // perf, or "all" (default).
 //
 // The perf target measures the simulator's own hot-path host throughput
 // (simulated ops per wall-clock second) for the TLB-hit fast path, the
-// TLB-miss walk path, the fault-storm populate path and the parallel
+// TLB-miss walk path, the fault-storm populate path and the round-based
 // engine on GUPS, writing the trajectory to BENCH_perf.json.
 // -perf-baseline FILE additionally fills each row's baseline/speedup
 // columns from a previous BENCH_perf.json and fails the run when any row
@@ -100,7 +100,6 @@ var targets = []targetInfo{
 	{"tier", "CXL tier recovery ladder plus the canonical tiered scenario record (BENCH_tier.json)"},
 	{"hwcmp", "translation-backend comparison: x8664 vs la57 vs victima, replayable via BENCH_hw.json"},
 	{"faults", "fault-injection kill-vs-recover ladder: MCE failover, node offlining, OOM, replayable via BENCH_fault.json"},
-	{"engine", "execution-engine throughput benchmark (sequential vs parallel)"},
 	{"perf", "simulator hot-path host-throughput trajectory (BENCH_perf.json)"},
 	{"churn", "multi-process churn: sharded vs global fault lock + tail latency, replayable via BENCH_churn.json (not in \"all\")"},
 	{"sweep", "fleet-scale pooled scenario grid, replayable via BENCH_sweep.json (not in \"all\")"},
@@ -382,9 +381,6 @@ func run(cfg experiments.Config, target string, policies []string, sweepOpt expe
 	case "table6":
 		t, err := experiments.RunTable6(cfg)
 		return str(t, err)
-	case "engine":
-		r, err := experiments.RunEngineBench(cfg)
-		return str(r, err)
 	case "perf":
 		r, err := experiments.RunPerfBench(cfg)
 		return str(r, err)
@@ -632,18 +628,15 @@ func runReplay(path string, cell int) error {
 }
 
 // replayRunResult reruns a recorded RunResult's embedded scenario with
-// its recorded engine mode and round length and verifies every
-// deterministic field reproduces bit-for-bit. The Hardware echo is
+// its recorded round length and verifies every deterministic field
+// reproduces bit-for-bit. The Hardware echo is
 // informational and not compared — the scenario spec itself pins the
 // backend the rerun boots.
 func replayRunResult(orig *mitosis.RunResult) error {
-	mode, err := mitosis.ParseEngineMode(orig.Engine)
-	if err != nil {
-		return err
-	}
-	// Engine mode and round length are both part of the record: the chunk
-	// is the modeled coherence latency, so a replay must reuse it.
-	rr, err := mitosis.Run(orig.Scenario, mitosis.WithEngine(mode), mitosis.WithChunk(orig.Chunk))
+	// The round length is part of the record: the chunk is the modeled
+	// coherence latency, so a replay must reuse it. The recorded engine
+	// name is not: every engine mode produced the same counters.
+	rr, err := mitosis.Run(orig.Scenario, mitosis.WithChunk(orig.Chunk))
 	if err != nil {
 		return err
 	}

@@ -122,7 +122,7 @@ func main() {
 	}
 	// The scenario engine's round clock: one round per DefaultChunk ops
 	// per core, so a plan's r<N> rounds line up with scenario plans.
-	roundsPerSnap := uint64((*interval + workloads.DefaultChunk - 1) / workloads.DefaultChunk)
+	roundsPerSnap := uint64(workloads.Rounds(*interval, 0))
 
 	for snap := 0; snap < *snapshots; snap++ {
 		if snap > 0 {

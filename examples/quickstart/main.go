@@ -61,11 +61,11 @@ func main() {
 	if err := json.Unmarshal(data, &replayed); err != nil {
 		log.Fatal(err)
 	}
-	a, err := mitosis.Run(sc, mitosis.WithEngine(mitosis.SequentialEngine))
+	a, err := mitosis.Run(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := mitosis.Run(replayed, mitosis.WithEngine(mitosis.SequentialEngine))
+	b, err := mitosis.Run(replayed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,60 +13,18 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
-// EngineMode selects how the deterministic execution engine schedules the
-// simulated cores. All modes produce bit-identical counters for the same
-// scenario (the engine's determinism contract, DESIGN.md).
+// EngineMode names the execution engine a RunResult was produced by. The
+// simulator has one engine, the sequential round loop (DESIGN.md, "The
+// execution engine"), so AutoEngine is the only mode.
 type EngineMode int
 
 const (
-	// AutoEngine is the default and currently runs SequentialEngine: on
-	// every host measured, ParallelEngine's per-round goroutine handoffs
-	// cost more than overlapping the sockets gained.
+	// AutoEngine is the execution engine's mode name.
 	AutoEngine EngineMode = iota
-	// SequentialEngine runs every core on the calling goroutine — the
-	// reference engine.
-	SequentialEngine
-	// ParallelEngine runs each socket's cores on a dedicated goroutine
-	// with round barriers.
-	ParallelEngine
 )
 
-// String returns "auto", "sequential" or "parallel".
-func (m EngineMode) String() string {
-	switch m {
-	case SequentialEngine:
-		return "sequential"
-	case ParallelEngine:
-		return "parallel"
-	default:
-		return "auto"
-	}
-}
-
-// ParseEngineMode is the inverse of EngineMode.String.
-func ParseEngineMode(s string) (EngineMode, error) {
-	switch s {
-	case "auto", "":
-		return AutoEngine, nil
-	case "sequential":
-		return SequentialEngine, nil
-	case "parallel":
-		return ParallelEngine, nil
-	}
-	return AutoEngine, fmt.Errorf("mitosis: unknown engine mode %q (have auto, sequential, parallel)", s)
-}
-
-// mode maps to the internal engine mode.
-func (m EngineMode) mode() workloads.Mode {
-	switch m {
-	case SequentialEngine:
-		return workloads.Sequential
-	case ParallelEngine:
-		return workloads.Parallel
-	default:
-		return workloads.Auto
-	}
-}
+// String returns "auto".
+func (m EngineMode) String() string { return "auto" }
 
 // RunOpt tunes one Run invocation (host-side knobs only; nothing an
 // option changes may alter the counters except Chunk, which is part of
@@ -74,19 +32,21 @@ func (m EngineMode) mode() workloads.Mode {
 type RunOpt func(*runConfig)
 
 type runConfig struct {
-	mode  EngineMode
 	chunk int
 	obs   Observer
 }
-
-// WithEngine selects the engine scheduling mode (default AutoEngine).
-func WithEngine(m EngineMode) RunOpt { return func(c *runConfig) { c.mode = m } }
 
 // WithChunk sets the engine round length in ops per core (default 32).
 // Results are only comparable between runs with equal chunks.
 func WithChunk(n int) RunOpt { return func(c *runConfig) { c.chunk = n } }
 
-// WithObserver streams round-barrier telemetry to o during the run.
+// WithObserver streams round-barrier telemetry to o during the run. The
+// observer fires every Policy.TickEvery rounds of a process's phase when
+// the process has no tiering policy and the scenario no fault plan, so a
+// phase of r rounds yields r/TickEvery events (rounded down). With a
+// tiering policy or a fault plan it fires at every round barrier, since
+// those engines tick every round. A phase of n ops per thread runs
+// ceil(n/chunk) rounds.
 func WithObserver(o Observer) RunOpt { return func(c *runConfig) { c.obs = o } }
 
 // SocketTick is one socket's counter deltas since the previous round-
@@ -101,7 +61,9 @@ type SocketTick struct {
 	HasReplica       bool
 }
 
-// TickEvent is the telemetry of one engine round barrier.
+// TickEvent is the telemetry of one engine round barrier. WithObserver
+// says at which barriers events fire; the Sockets deltas cover every round
+// since the process's previous event in the same phase.
 type TickEvent struct {
 	Process string
 	Phase   string
@@ -132,7 +94,7 @@ func (f ObserverFunc) RoundTick(ev TickEvent) { f(ev) }
 
 // Counters are the hardware counters of one measured phase, aggregated
 // over the process's cores. All fields are exact integers so results can
-// be compared bit-for-bit across engine modes and replays.
+// be compared bit-for-bit across runs and replays.
 type Counters struct {
 	Ops   uint64 `json:"ops"`
 	Walks uint64 `json:"walks"`
@@ -253,7 +215,7 @@ type PolicyOutcome struct {
 	Process string `json:"process"`
 	Policy  string `json:"policy"`
 	// Actions is the applied action log ("r12:replicate(node 1)", ...),
-	// identical across engine modes.
+	// identical across runs and replays.
 	Actions []string `json:"actions,omitempty"`
 	// ReplicaTimeline is the change-point-compressed replica count per
 	// policy tick.
@@ -282,7 +244,7 @@ type ProcHealth struct {
 
 // FaultOutcome is the fault engine's record for a run: what the plan
 // injected, how the machine recovered, and who survived. Deterministic
-// across engine modes and sweep worker counts.
+// across runs and sweep worker counts.
 type FaultOutcome struct {
 	// Plan echoes the scenario's fault DSL.
 	Plan string `json:"plan"`
@@ -314,7 +276,7 @@ type FaultOutcome struct {
 	// victim processes' cores.
 	RecoveryCycles uint64 `json:"recovery_cycles,omitempty"`
 	// Actions is the deterministic recovery log ("r12:node 1 offline",
-	// ...), identical across engine modes.
+	// ...), identical across runs and replays.
 	Actions []string `json:"actions,omitempty"`
 	// Killed lists the processes the engine killed, in kill order.
 	Killed []KilledProc `json:"killed,omitempty"`
@@ -324,8 +286,10 @@ type FaultOutcome struct {
 
 // RunResult is a scenario run's complete record: the exact (normalized)
 // spec that produced it, per-phase counters, and policy telemetry. It
-// serializes; replaying Result.Scenario in the same engine mode and with
-// the same Chunk reproduces every counter bit-for-bit.
+// serializes; replaying Result.Scenario with the same Chunk reproduces
+// every counter bit-for-bit. Engine is always "auto" (AutoEngine); older
+// records may say "sequential" or "parallel", which produced the same
+// counters, so replay ignores it.
 type RunResult struct {
 	Scenario Scenario `json:"scenario"`
 	Engine   string   `json:"engine"`
@@ -368,7 +332,7 @@ func (r *RunResult) Measured(process string) *PhaseResult {
 
 // Run boots a fresh machine from the scenario's Machine section and
 // executes the scenario on it. This is the reproducible entry point: the
-// same spec and engine mode always produce the same RunResult.
+// same spec and chunk always produce the same RunResult.
 func Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -403,7 +367,7 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 	k := s.k
 	topo := k.Topology()
 	m := k.Machine()
-	rr := &RunResult{Scenario: sc, Engine: rc.mode.String(), Chunk: rc.chunk, Hardware: s.Hardware()}
+	rr := &RunResult{Scenario: sc, Engine: AutoEngine.String(), Chunk: rc.chunk, Hardware: s.Hardware()}
 
 	if sc.Fragmentation > 0 {
 		r := rand.New(rand.NewSource(sc.Seed))
@@ -485,7 +449,7 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 	// The fault engine addresses processes by spawn order and fires on a
 	// run-global cumulative round clock that advances across all
 	// processes and phases in execution order — the key to bit-identical
-	// injection regardless of engine mode or sweep worker count.
+	// injection regardless of sweep worker count.
 	var fe *kernel.FaultEngine
 	faultPlan, err := fault.ParsePlan(sc.Faults)
 	if err != nil {
@@ -540,7 +504,6 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 			res := PhaseResult{Process: rp.spec.Name, Phase: phaseName, Warmup: ph.Warmup}
 			if ph.Ops > 0 {
 				ecfg := workloads.EngineConfig{
-					Mode:      rc.mode.mode(),
 					Chunk:     rc.chunk,
 					TickEvery: rp.spec.Policy.TickEvery,
 				}
@@ -579,11 +542,7 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 				// scheduled rounds (the engine restarts its counter per
 				// run; a killed phase still consumed its slot in the
 				// plan's clock, keeping later events deterministic).
-				chunk := rc.chunk
-				if chunk <= 0 {
-					chunk = workloads.DefaultChunk
-				}
-				rounds := (ph.Ops + chunk - 1) / chunk
+				rounds := workloads.Rounds(ph.Ops, rc.chunk)
 				rp.tickBase += rounds
 				faultBase += rounds
 				if wres != nil {

@@ -68,7 +68,10 @@ func (r ReplicationSpec) wants() bool { return r.All || len(r.Nodes) > 0 }
 type PolicySpec struct {
 	// Name is one of Policies(), or ""/"none" for no runtime policy.
 	Name string `json:"name,omitempty"`
-	// TickEvery is the tick period in rounds (default 1).
+	// TickEvery is the tick period in rounds (default 1). Without a
+	// tiering policy or fault plan it also paces the run observer, with
+	// or without a Name (see WithObserver); it never changes counters
+	// when Name is empty.
 	TickEvery int `json:"tick_every,omitempty"`
 	// StepPages bounds replica pages copied per tick by in-flight
 	// background replication (default 64).

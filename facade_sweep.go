@@ -81,9 +81,10 @@ type Sweep struct {
 	// guest and nested tables. Cells spanning the whole machine use node
 	// 0. This gives replication policies remote-walk pressure to act on.
 	StrandPT bool `json:"strand_pt,omitempty"`
-	// Engine is the per-cell engine mode ("sequential", "parallel",
-	// "auto"). Default "sequential": sweep parallelism comes from running
-	// cells concurrently, not from sharding one cell.
+	// Engine is the engine mode name recorded in each cell: "sequential"
+	// (the default) or "auto". Both name the one execution engine; the
+	// field stays so recorded specs decode and replay unchanged. Sweep
+	// parallelism comes from running cells concurrently.
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -131,7 +132,7 @@ func (sw Sweep) normalized() Sweep {
 		sw.MeasureOps = 2048
 	}
 	if sw.Engine == "" {
-		sw.Engine = SequentialEngine.String()
+		sw.Engine = "sequential"
 	}
 	return sw
 }
@@ -223,8 +224,8 @@ func (sw Sweep) Validate() error {
 	if sw.WarmupOps < 0 || sw.MeasureOps <= 0 {
 		return fmt.Errorf("sweep %q: warmup_ops %d / measure_ops %d invalid", sw.Name, sw.WarmupOps, sw.MeasureOps)
 	}
-	if _, err := ParseEngineMode(sw.Engine); err != nil {
-		return fmt.Errorf("sweep %q: %w", sw.Name, err)
+	if sw.Engine != "sequential" && sw.Engine != AutoEngine.String() {
+		return fmt.Errorf("sweep %q: unknown engine mode %q (have sequential, auto)", sw.Name, sw.Engine)
 	}
 	return nil
 }
@@ -543,11 +544,6 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 	if cfg.workers > total {
 		cfg.workers = total
 	}
-	mode, err := ParseEngineMode(norm.Engine)
-	if err != nil {
-		return nil, err
-	}
-
 	order := make([]int, total)
 	for i := range order {
 		order[i] = i
@@ -575,7 +571,7 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 				}()
 			}
 			for idx := range jobs {
-				results <- norm.runCell(idx, mode, &sys, cfg.pool)
+				results <- norm.runCell(idx, &sys, cfg.pool)
 			}
 		}()
 	}
@@ -617,7 +613,7 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 // is acquired on first use and Reset after every run so each cell sees a
 // machine indistinguishable from a fresh boot; without, every cell boots
 // its own system (the path the speedup benchmark compares against).
-func (sw Sweep) runCell(idx int, mode EngineMode, sysp **System, pool bool) CellResult {
+func (sw Sweep) runCell(idx int, sysp **System, pool bool) CellResult {
 	ax := sw.axes(idx)
 	sc := sw.cell(idx, ax)
 	cr := CellResult{
@@ -632,7 +628,7 @@ func (sw Sweep) runCell(idx int, mode EngineMode, sysp **System, pool bool) Cell
 		Hardware:      ax.hardware,
 		Faults:        ax.faults,
 		Seed:          ax.seed,
-		Engine:        mode.String(),
+		Engine:        sw.Engine,
 	}
 	if ax.tierPolicy != "" && ax.tierPolicy != "none" {
 		cr.TierPolicy = ax.tierPolicy
@@ -654,7 +650,7 @@ func (sw Sweep) runCell(idx int, mode EngineMode, sysp **System, pool bool) Cell
 	} else {
 		sys = NewSystem(sc.Machine)
 	}
-	rr, err := sys.Run(sc, WithEngine(mode))
+	rr, err := sys.Run(sc)
 	if pool {
 		sys.Reset()
 	}
@@ -697,12 +693,8 @@ func (sw Sweep) ReplayCell(idx int) (CellResult, error) {
 	if idx < 0 || idx >= norm.Cells() {
 		return CellResult{}, fmt.Errorf("sweep %q: cell %d out of range [0,%d)", norm.Name, idx, norm.Cells())
 	}
-	mode, err := ParseEngineMode(norm.Engine)
-	if err != nil {
-		return CellResult{}, err
-	}
 	var sys *System
-	return norm.runCell(idx, mode, &sys, false), nil
+	return norm.runCell(idx, &sys, false), nil
 }
 
 // systemPools recycles booted systems per normalized machine

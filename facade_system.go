@@ -19,7 +19,7 @@
 // machine, workloads, placement, replication, policies, phases — as a
 // Scenario value, and hand it to Run. The scenario executes on the
 // deterministic round-barrier engine, so the same spec always produces the
-// same counters, in any engine mode:
+// same counters:
 //
 //	sc := mitosis.NewScenario("stranded-gups",
 //		mitosis.WithSeed(42),

@@ -21,7 +21,7 @@ type TierCensus struct {
 
 // TierOutcome is the tiering engine's record for one process: the applied
 // action log, cumulative mover totals, and the final residency census.
-// Identical across engine modes, like PolicyOutcome.
+// Identical across runs and replays, like PolicyOutcome.
 type TierOutcome struct {
 	Process string `json:"process"`
 	Policy  string `json:"policy"`

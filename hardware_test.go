@@ -92,7 +92,7 @@ func TestDefaultHardwareIsX8664(t *testing.T) {
 	for _, hw := range []string{"", HardwareX8664} {
 		sc := testScenario()
 		sc.Machine.Hardware = hw
-		rr, err := Run(sc, WithEngine(SequentialEngine))
+		rr, err := Run(sc)
 		if err != nil {
 			t.Fatalf("hardware %q: %v", hw, err)
 		}
@@ -122,7 +122,7 @@ func TestHardwareEcho(t *testing.T) {
 	sc.Machine.Hardware = HardwareVictima
 	sc.Processes[0].Phases = []PhaseSpec{Measure(500)}
 	sc.Processes = sc.Processes[:1]
-	rr, err := Run(sc, WithEngine(SequentialEngine))
+	rr, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,37 +146,30 @@ func TestHardwareEcho(t *testing.T) {
 	}
 }
 
-// TestRunDeterminismAcrossModesPerBackend extends the cross-engine
-// determinism contract to every translation backend: for each backend the
-// Sequential, Parallel and Auto engines must produce bit-identical phase
-// counters and policy telemetry.
+// TestRunDeterminismAcrossModesPerBackend extends the determinism
+// contract to every translation backend: for each backend a JSON replay
+// reproduces the phase counters, policy telemetry and replica page count.
 func TestRunDeterminismAcrossModesPerBackend(t *testing.T) {
 	for _, backend := range HardwareBackends() {
 		t.Run(backend, func(t *testing.T) {
 			sc := testScenario()
 			sc.Machine.Hardware = backend
-			var ref *RunResult
-			for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
-				rr, err := Run(sc, WithEngine(mode))
-				if err != nil {
-					t.Fatalf("%v: %v", mode, err)
-				}
-				if rr.Hardware.Backend != backend {
-					t.Fatalf("%v: booted %q, want %q", mode, rr.Hardware.Backend, backend)
-				}
-				if ref == nil {
-					ref = rr
-					continue
-				}
-				if !reflect.DeepEqual(ref.Phases, rr.Phases) {
-					t.Errorf("%v diverged:\nseq: %+v\ngot: %+v", mode, ref.Phases, rr.Phases)
-				}
-				if !reflect.DeepEqual(ref.Policies, rr.Policies) {
-					t.Errorf("%v: policy telemetry diverged", mode)
-				}
-				if ref.ReplicaPTPages != rr.ReplicaPTPages {
-					t.Errorf("%v: replica PT pages %d, want %d", mode, rr.ReplicaPTPages, ref.ReplicaPTPages)
-				}
+			ref, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Hardware.Backend != backend {
+				t.Fatalf("booted %q, want %q", ref.Hardware.Backend, backend)
+			}
+			rr := replayRun(t, ref)
+			if !reflect.DeepEqual(ref.Phases, rr.Phases) {
+				t.Errorf("replay diverged:\nref: %+v\ngot: %+v", ref.Phases, rr.Phases)
+			}
+			if !reflect.DeepEqual(ref.Policies, rr.Policies) {
+				t.Error("replay: policy telemetry diverged")
+			}
+			if ref.ReplicaPTPages != rr.ReplicaPTPages {
+				t.Errorf("replay: replica PT pages %d, want %d", rr.ReplicaPTPages, ref.ReplicaPTPages)
 			}
 		})
 	}
@@ -191,7 +184,7 @@ func TestBackendsMateriallyDiffer(t *testing.T) {
 		sc := testScenario()
 		sc.Processes = sc.Processes[:1]
 		sc.Machine.Hardware = hw
-		rr, err := Run(sc, WithEngine(SequentialEngine))
+		rr, err := Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", hw, err)
 		}

@@ -111,7 +111,7 @@ func RunAblationFiveLevel(cfg Config) (*metrics.Table, error) {
 				}
 			}
 			k.SetInterference(nodeB, true)
-			res, err := workloads.RunWith(env, w, cfg.Ops, cfg.engine())
+			res, err := workloads.Run(env, w, cfg.Ops)
 			if err != nil {
 				return nil, err
 			}
@@ -196,7 +196,7 @@ func RunAblationAutoPolicy(cfg Config) (*metrics.Table, error) {
 	}
 	policy := core.DefaultAutoPolicy()
 
-	before, err := workloads.RunWith(env, w, cfg.Ops, cfg.engine())
+	before, err := workloads.Run(env, w, cfg.Ops)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func RunAblationAutoPolicy(cfg Config) (*metrics.Table, error) {
 			return nil, err
 		}
 	}
-	after, err := workloads.RunWith(env, w, cfg.Ops, cfg.engine())
+	after, err := workloads.Run(env, w, cfg.Ops)
 	if err != nil {
 		return nil, err
 	}

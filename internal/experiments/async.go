@@ -40,7 +40,7 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 		if err := w.Setup(env); err != nil {
 			return nil, err
 		}
-		if _, err := workloads.RunWith(env, w, cfg.Warmup, cfg.engine()); err != nil {
+		if _, err := workloads.Run(env, w, cfg.Warmup); err != nil {
 			return nil, err
 		}
 
@@ -98,7 +98,7 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 			copyWork = blocked
 		}
 
-		res, err := workloads.RunWith(env, w, cfg.Ops, cfg.engine())
+		res, err := workloads.Run(env, w, cfg.Ops)
 		if err != nil {
 			return nil, err
 		}

@@ -46,15 +46,6 @@ type Config struct {
 	// calibrated scale; quick tests use smaller values (shapes are then
 	// not meaningful).
 	Scale float64
-	// Engine selects the execution engine mode for measured runs. The
-	// default is workloads.Auto; results are identical across modes by
-	// the engine's determinism contract.
-	Engine workloads.Mode
-}
-
-// engine returns the run configuration for this experiment config.
-func (c Config) engine() workloads.EngineConfig {
-	return workloads.EngineConfig{Mode: c.Engine}
 }
 
 // Quick returns a configuration for fast smoke runs (unit tests).
@@ -97,18 +88,6 @@ func (c Config) machine(thp bool) mitosis.SystemConfig {
 		frames = 512
 	}
 	return mitosis.SystemConfig{MemoryPerNode: frames * 4096, THP: thp}
-}
-
-// engineMode maps the internal engine mode to the public facade's.
-func engineMode(m workloads.Mode) mitosis.EngineMode {
-	switch m {
-	case workloads.Sequential:
-		return mitosis.SequentialEngine
-	case workloads.Parallel:
-		return mitosis.ParallelEngine
-	default:
-		return mitosis.AutoEngine
-	}
 }
 
 // workload instantiates a scaled copy of the named workload. A zero Scale

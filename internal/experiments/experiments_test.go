@@ -269,11 +269,7 @@ func TestVirtScenarioReplayable(t *testing.T) {
 		t.Fatalf("ondemand policy never acted on the VM: %+v", vr.Policies)
 	}
 	// Re-running the embedded spec reproduces the counters bit-for-bit.
-	mode, err := mitosis.ParseEngineMode(vr.Engine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := mitosis.Run(vr.Scenario, mitosis.WithEngine(mode))
+	again, err := mitosis.Run(vr.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func RunHwCompare(cfg Config) (*HwResult, error) {
 	for _, hw := range HwBackends() {
 		for _, config := range HwConfigs() {
 			sc := HwScenario(cfg, hw, config)
-			rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+			rr, err := mitosis.Run(sc)
 			if err != nil {
 				return nil, runErr("hwcmp "+sc.Name, err)
 			}

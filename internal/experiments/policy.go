@@ -30,7 +30,7 @@ type PolicyRow struct {
 	// policy engine's background replication (dynamic policies only).
 	BackgroundKCycles float64 `json:"background_kcycles,omitempty"`
 	// Scenario is the exact declarative spec this row was measured from;
-	// replaying it in the same engine mode reproduces the row bit-for-bit.
+	// replaying it reproduces the row bit-for-bit.
 	Scenario *mitosis.Scenario `json:"scenario,omitempty"`
 }
 
@@ -135,7 +135,7 @@ func runPolicyRow(cfg Config, name string) (PolicyRow, error) {
 	cfg = cfg.fill()
 	row := PolicyRow{Policy: name}
 	sc := PolicyScenario(cfg, name)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return row, err
 	}

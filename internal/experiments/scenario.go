@@ -78,7 +78,7 @@ func msRun(cfg Config, name string, pol MSPolicy, thp bool) (*mitosis.PhaseResul
 // name's measured phase and the kernel; label names the run in errors.
 func runMeasured(cfg Config, sc mitosis.Scenario, name, label string) (*mitosis.PhaseResult, *kernel.Kernel, error) {
 	sys := mitosis.NewSystem(sc.Machine)
-	rr, err := sys.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := sys.Run(sc)
 	if err != nil {
 		return nil, nil, runErr(label, err)
 	}

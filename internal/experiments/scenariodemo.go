@@ -45,7 +45,7 @@ type ScenarioResult struct {
 func RunScenario(cfg Config) (*ScenarioResult, error) {
 	cfg = cfg.fill()
 	sc := DemoScenario(cfg)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return nil, runErr("scenario demo", err)
 	}

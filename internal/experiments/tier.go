@@ -101,7 +101,7 @@ func TierScenario(cfg Config, config string) mitosis.Scenario {
 // tierRun executes one ladder rung and returns its full result.
 func tierRun(cfg Config, config string) (*mitosis.RunResult, error) {
 	sc := TierScenario(cfg, config)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return nil, runErr("tier "+config, err)
 	}
@@ -207,7 +207,7 @@ func TierBenchScenario(cfg Config) mitosis.Scenario {
 func RunTierScenario(cfg Config) (*TierResult, error) {
 	cfg = cfg.fill()
 	sc := TierBenchScenario(cfg)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return nil, runErr("tier scenario", err)
 	}

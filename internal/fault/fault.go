@@ -4,17 +4,17 @@
 // memory-pressure waves — that fire at execution-round barriers.
 //
 // Determinism is the whole design. Events are keyed to the cumulative
-// round clock (the same run-global clock every engine mode advances
-// identically), injection order within a barrier is the plan's own
-// order, and recovery happens synchronously at the same barrier in
-// canonical PID/node order. Nothing here reads wall-clock time or
-// random state: the same plan against the same scenario produces
-// bit-identical outcomes under Sequential, Parallel and Auto engines
-// and any sweep worker count.
+// round clock (the run-global clock the execution engine advances),
+// injection order within a barrier is the plan's own order, and
+// recovery happens synchronously at the same barrier in canonical
+// PID/node order. Nothing here reads wall-clock time or random state:
+// the same plan against the same scenario produces bit-identical
+// outcomes on every run and under any sweep worker count.
 package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,8 +77,8 @@ func KindFromString(s string) (Kind, error) {
 //	Pressure:    Round, Node, Frames (usable-frame floor to reserve)
 type Event struct {
 	// Round is the cumulative round-barrier clock at which the event
-	// fires. The clock advances across phases and processes identically
-	// in every engine mode, so Round pins the event to one barrier.
+	// fires. The clock advances across phases and processes in execution
+	// order, so Round pins the event to one barrier.
 	Round uint64 `json:"round"`
 	// Kind selects the failure class.
 	Kind Kind `json:"kind"`
@@ -207,9 +207,13 @@ func (inj *Injector) Due(round uint64) []Event {
 // Pending reports how many events have not fired yet.
 func (inj *Injector) Pending() int { return len(inj.events) - inj.next }
 
+// intFields names the DSL fields whose values are stored as int.
+var intFields = map[byte]string{'p': "proc", 'n': "node", 'g': "page"}
+
 // ParsePlan parses the plan DSL: ';'-separated events, each a
 // ':'-separated list of a kind name followed by fields — r<round>,
-// p<proc>, n<node>, g<page>, f<frames> — in any order. Examples:
+// p<proc>, n<node>, g<page>, f<frames> — in any order. Proc, node and
+// page values above math.MaxInt are rejected. Examples:
 //
 //	poison-pt:r8:p0:n1            poison proc 0's PT root on node 1 at round 8
 //	poison-data:r8:p0:g5          poison proc 0's 5th mapped page
@@ -240,6 +244,9 @@ func ParsePlan(s string) (*Plan, error) {
 			v, err := strconv.ParseUint(f[1:], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("fault: event %d %q: field %q: %w", i, raw, f, err)
+			}
+			if name, ok := intFields[f[0]]; ok && v > math.MaxInt {
+				return nil, fmt.Errorf("fault: event %d %q: %s %d exceeds %d", i, raw, name, v, math.MaxInt)
 			}
 			switch f[0] {
 			case 'r':

@@ -31,11 +31,13 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"explode:r1",         // unknown kind
-		"poison-pt:p0:n1",    // missing round
-		"poison-pt:r8:x9",    // unknown field prefix
-		"poison-pt:r8:p",     // empty field value
-		"poison-pt:r8:pzero", // non-numeric
+		"explode:r1",                             // unknown kind
+		"poison-pt:p0:n1",                        // missing round
+		"poison-pt:r8:x9",                        // unknown field prefix
+		"poison-pt:r8:p",                         // empty field value
+		"poison-pt:r8:pzero",                     // non-numeric
+		"poison-data:r1:p9223372036854775808:g1", // proc overflows int
+		"offline:r1:n9223372036854775808",        // node overflows int
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q): want error, got nil", bad)
@@ -44,6 +46,39 @@ func TestParseErrors(t *testing.T) {
 	if p, err := ParsePlan("  "); err != nil || p != nil {
 		t.Errorf("ParsePlan(blank): got %v, %v; want nil, nil", p, err)
 	}
+}
+
+// FuzzParsePlan: whatever ParsePlan accepts renders (String) to DSL that
+// parses back to the same text, and validating it never panics. The seeds
+// are the committed fault-ladder plans, the ParsePlan doc examples and a
+// plan whose proc and page overflow int.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{
+		"offline:r12:n1",
+		"poison-pt:r24:p0:n0",
+		"poison-pt:r8:p0:n1;poison-pt:r24:p0:n0",
+		"pressure:r8:n0:f1000000",
+		"poison-pt:r8:p0:n1",
+		"poison-data:r8:p0:g5",
+		"pressure:r4:n0:f4096",
+		"poison-data:r1:p9223372036854775808:g18446744073709551615",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		again, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) = %q, which ParsePlan rejects: %v", s, p, err)
+		}
+		if again.String() != p.String() {
+			t.Fatalf("ParsePlan(%q) = %q, re-parsed as %q", s, p, again)
+		}
+		_ = p.Validate(2, 4)
+	})
 }
 
 func TestValidate(t *testing.T) {

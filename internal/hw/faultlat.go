@@ -20,7 +20,7 @@ const FaultLatBuckets = 48
 // neighbour's 4KB fault costs a few thousand, and p95/p99 make that skew
 // visible. The histogram is a multiset over all cores, so its content is
 // independent of the order concurrent faults complete in — it reproduces
-// bit-identically across engine modes and worker counts.
+// bit-identically across runs and worker counts.
 type FaultLatHist [FaultLatBuckets]uint64
 
 // add records one fault of the given cost.

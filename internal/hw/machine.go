@@ -48,9 +48,9 @@ var ErrMachineCheck = errors.New("hw: machine check exception (poisoned frame)")
 // It returns the cycles the fault handling consumed (charged to the
 // faulting core, outside walk cycles).
 //
-// The handler must be safe for concurrent calls from different cores: the
-// parallel engine drives each socket on its own goroutine, and cores of
-// *different processes* may fault simultaneously. The kernel implements
+// The handler must be safe for concurrent calls from different cores:
+// concurrent AccessBatch callers and RunChurn's per-socket workers may
+// fault simultaneously on cores of *different processes*. The kernel implements
 // this with per-process fault locks (sharded mmap_sem) — faults of the
 // same process serialize, faults of different processes run concurrently.
 type FaultHandler interface {
@@ -104,14 +104,11 @@ type coreState struct {
 	// engine's update order exactly, so AutoNUMA observes identical state
 	// at every quiescent point.
 	samples []sample
-	// busy is 1 while an Access or AccessBatch executes on this core;
-	// engaged is 1 for the whole duration of a parallel engine run
-	// (BeginConcurrent/EndConcurrent), covering the instants between a
-	// worker's consecutive batches. The kernel's fault path consults
-	// both (CoreBusy) to decide whether a process's cores are quiescent
-	// enough to collapse its page-table replicas under memory pressure.
-	busy    atomic.Int32
-	engaged atomic.Int32
+	// busy is 1 while an Access or AccessBatch executes on this core.
+	// The kernel's fault path consults it (CoreBusy) to decide whether a
+	// process's cores are quiescent enough to collapse its page-table
+	// replicas under memory pressure.
+	busy atomic.Int32
 	// faultLat is this core's fault-latency histogram: one entry per
 	// fault taken on this core, bucketed by the simulated cycles the
 	// handler charged. Kept out of CoreStats deliberately — merge/Sub
@@ -370,7 +367,6 @@ func (m *Machine) Reset() {
 		c.pending = c.pending[:0]
 		c.samples = c.samples[:0]
 		c.busy.Store(0)
-		c.engaged.Store(0)
 	}
 	for _, l := range m.llcs {
 		l.Reset()
@@ -412,8 +408,8 @@ type AccessOp struct {
 // Access calls behaves exactly like the original per-op engine.
 //
 // Access and AccessBatch on the same core are not safe for concurrent use;
-// different cores may run concurrently (the parallel engine's contract —
-// see DESIGN.md for which operations additionally require quiescence).
+// different cores may run concurrently (see DESIGN.md for which
+// operations additionally require quiescence).
 func (m *Machine) Access(core numa.CoreID, va pt.VirtAddr, write bool) error {
 	c := m.core(core)
 	if c.tctx.CR3 == mem.NilFrame {
@@ -443,7 +439,7 @@ func (m *Machine) Access(core numa.CoreID, va pt.VirtAddr, write bool) error {
 // batch. Cross-socket invalidations triggered by store walks are NOT
 // applied inline: they accumulate in the core's coherence buffer — across
 // batches, until the caller runs an apply step — DrainCoherence for the
-// simple case, or the ApplyCoherenceTo/ClearCoherence pair the parallel
+// simple case, or the ApplyCoherenceTo/ClearCoherence pair the execution
 // engine uses at round barriers. Deferring the invalidations to a
 // deterministic point is what makes concurrent per-core batches produce
 // bit-identical counters to a sequential run.
@@ -478,35 +474,14 @@ func (m *Machine) AccessBatch(core numa.CoreID, ops []AccessOp) error {
 	return err
 }
 
-// CoreBusy reports whether core is executing an Access/AccessBatch or is
-// enrolled in a concurrent engine run. The kernel's memory-pressure path
-// uses it to avoid tearing down page-table replicas (and reloading CR3)
-// under cores that may be mid-batch. The per-batch busy flag alone would
-// race: a worker's flag drops between consecutive batches of the same
-// round, so concurrent runs additionally pin their cores with
-// BeginConcurrent for the whole run.
+// CoreBusy reports whether core is executing an Access/AccessBatch. The
+// kernel's memory-pressure path uses it to avoid tearing down page-table
+// replicas (and reloading CR3) under cores that may be mid-batch, such as
+// a concurrent AccessBatch caller's. The execution engine needs no more:
+// it runs every batch on one goroutine, so a fault inside one of its
+// batches is the only execution in flight on the run's cores.
 func (m *Machine) CoreBusy(core numa.CoreID) bool {
-	c := m.core(core)
-	return c.busy.Load() != 0 || c.engaged.Load() != 0
-}
-
-// BeginConcurrent marks the given cores as enrolled in a concurrent
-// engine run until EndConcurrent: batches will execute on them from other
-// goroutines, so quiescence-requiring paths (replica reclaim) must treat
-// them as busy even between batches. Sequential runs need no enrollment —
-// a fault there is the only execution in flight, exactly the pre-engine
-// regime.
-func (m *Machine) BeginConcurrent(cores []numa.CoreID) {
-	for _, core := range cores {
-		m.core(core).engaged.Store(1)
-	}
-}
-
-// EndConcurrent clears the enrollment set by BeginConcurrent.
-func (m *Machine) EndConcurrent(cores []numa.CoreID) {
-	for _, core := range cores {
-		m.core(core).engaged.Store(0)
-	}
+	return m.core(core).busy.Load() != 0
 }
 
 // accessOne is the shared per-op path of Access and AccessBatch. Cycle and
@@ -653,9 +628,8 @@ func (m *Machine) DrainCoherence(cores []numa.CoreID) {
 // cores into frame metadata, in core order, and clears the buffers. Call
 // it only at quiescent points (round barriers): the fold mutates shared
 // FrameMeta without atomics. Folding per-core buffers in canonical core
-// order reproduces the sequential engine's update order exactly, which
-// keeps AutoNUMA decisions — and therefore all counters — bit-identical
-// across engine modes.
+// order fixes the update order, which keeps AutoNUMA decisions — and
+// therefore all counters — bit-identical across runs.
 func (m *Machine) FoldSampling(cores []numa.CoreID) {
 	for _, core := range cores {
 		c := m.core(core)

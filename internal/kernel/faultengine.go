@@ -34,7 +34,7 @@ var ErrProcessKilled = errors.New("kernel: process killed by fault recovery")
 
 // FaultStats aggregates what the fault engine injected and how the
 // machine recovered. All counts are deterministic for a given plan and
-// scenario, regardless of engine mode or worker count.
+// scenario, regardless of sweep worker count.
 type FaultStats struct {
 	// Injected is the number of plan events fired.
 	Injected int `json:"injected"`

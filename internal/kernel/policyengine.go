@@ -20,7 +20,7 @@ type PolicyEngineConfig struct {
 
 // ActionRecord is one applied policy action tagged with the round it fired
 // on. The record sequence is part of the engine's determinism contract:
-// identical runs produce identical logs regardless of engine mode.
+// identical runs produce identical logs.
 type ActionRecord struct {
 	Round  int
 	Action core.Action

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"errors"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
@@ -301,8 +303,7 @@ func TestReclaimFaultCoreIsPerProcess(t *testing.T) {
 
 	// One core of each process is mid-batch, as during concurrent faults.
 	coreA, coreB := a.Cores()[0], b.Cores()[0]
-	busy := []numa.CoreID{coreA, coreB}
-	k.machine.BeginConcurrent(busy)
+	release := parkCores(t, k, coreA, coreB)
 
 	// a is mid-fault on coreA: the handler records the core under a's
 	// fault lock before reaching the allocator, exactly as HandleFault
@@ -326,7 +327,8 @@ func TestReclaimFaultCoreIsPerProcess(t *testing.T) {
 	}
 	a.faultCore = -1
 	a.faultLock.Unlock()
-	k.machine.EndConcurrent(busy)
+	release[coreA]()
+	release[coreB]()
 
 	// With all cores quiescent, a victim whose fault lock is contended
 	// (its fault path is between the busy-check window and completion) is
@@ -342,4 +344,52 @@ func TestReclaimFaultCoreIsPerProcess(t *testing.T) {
 	if b.Space().Replicated() {
 		t.Error("replicas survived reclaim at quiescence")
 	}
+}
+
+// parkedFaults is a fault handler that holds each fault until its core is
+// released, then fails it: the core stays mid-batch (CoreBusy) for as long
+// as the test needs, and no kernel state changes.
+type parkedFaults struct {
+	entered chan numa.CoreID
+	release map[numa.CoreID]chan struct{}
+}
+
+func (h *parkedFaults) HandleFault(c numa.CoreID, _ pt.VirtAddr, _ bool) (numa.Cycles, error) {
+	h.entered <- c
+	<-h.release[c]
+	return 0, errors.New("parked fault released")
+}
+
+// parkCores starts one access on each core to an address no VMA maps and
+// parks its fault, returning once every core is busy. release[c] lets
+// core c's access fail and waits for it to return. Cleanup releases any
+// core still parked and restores the kernel's fault handler.
+func parkCores(t *testing.T, k *Kernel, cores ...numa.CoreID) map[numa.CoreID]func() {
+	t.Helper()
+	h := &parkedFaults{entered: make(chan numa.CoreID), release: map[numa.CoreID]chan struct{}{}}
+	for _, c := range cores {
+		h.release[c] = make(chan struct{})
+	}
+	k.machine.SetFaultHandler(h)
+	release := map[numa.CoreID]func(){}
+	for _, c := range cores {
+		done := make(chan error)
+		go func() { done <- k.machine.Access(c, 0x7f0000000000, false) }()
+		release[c] = sync.OnceFunc(func() {
+			close(h.release[c])
+			if err := <-done; err == nil {
+				t.Errorf("parked access on core %d succeeded, want its fault to fail", c)
+			}
+		})
+	}
+	for range cores {
+		<-h.entered
+	}
+	t.Cleanup(func() {
+		for _, r := range release {
+			r()
+		}
+		k.machine.SetFaultHandler(k)
+	})
+	return release
 }

@@ -42,7 +42,7 @@ func (r TierActionRecord) String() string {
 //     page-table placement) goes to Policy.Decide.
 //   - Mover: at most StepPages 4KB pages of the returned actions apply per
 //     tick, through the same remap + TLB-shootdown path AutoNUMA data
-//     migration uses, so counters stay bit-identical across engine modes.
+//     migration uses, so counters stay bit-identical across runs.
 //     Remaining candidates are re-emitted by the policy on later ticks —
 //     its input state persists.
 //
@@ -118,7 +118,7 @@ func (e *TierEngine) Tick(round int) error {
 		}
 	}
 	// Data moves bill the process meter; drain it to the canonical core so
-	// both engine modes charge the same core at the same barrier.
+	// every run charges the same core at the same barrier.
 	if len(e.p.cores) > 0 {
 		e.k.machine.AddCycles(e.k.callCore(e.p, 0, false), drainMeterCycles(e.p))
 	}

@@ -148,7 +148,7 @@ func (a Action) String() string {
 
 // Policy decides tier placement from one tick's snapshot. Decide must be a
 // pure function of the telemetry and the policy's own deterministic state:
-// the engine ticks it at round barriers in every engine mode, and the
+// the engine ticks it at round barriers, and the
 // resulting action sequence is part of the replayable counter stream. The
 // mover bounds how many of the returned actions are applied per tick;
 // policies should emit candidates in priority order.

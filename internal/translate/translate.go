@@ -90,7 +90,7 @@ type Ctx struct {
 // returned entry pointers alias backend-internal storage and are valid
 // until the next operation on the same Core. Calls on the same Core
 // are never concurrent; calls on different Cores of one Backend may be
-// (the parallel engine's contract).
+// (concurrent AccessBatch callers on different cores).
 type Core interface {
 	// Probe consults the core's translation caches for va. It handles
 	// the store-through-read-only permission drop internally (the entry

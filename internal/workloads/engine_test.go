@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -14,12 +13,13 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
 
-// engineRun executes one workload on a fresh kernel under the given engine
-// mode and returns the full Result, including the raw per-core counters.
-func engineRun(t *testing.T, mk func() Workload, mode Mode, sockets, coresPerSocket, ops int) *Result {
+// engineRun executes one workload on a fresh kernel under the default
+// engine configuration and returns the full Result, including the raw
+// per-core counters.
+func engineRun(t *testing.T, mk func() Workload, sockets, coresPerSocket, ops int) *Result {
 	t.Helper()
 	return engineRunCfg(t, shrink(mk()), sockets, coresPerSocket, ops,
-		func(*Env) EngineConfig { return EngineConfig{Mode: mode} })
+		func(*Env) EngineConfig { return EngineConfig{} })
 }
 
 // engineRunCfg is engineRun for an already sized workload, under the engine
@@ -75,7 +75,7 @@ func (r *recordingWorkload) NewThread(env *Env, thread int) Step {
 
 // checkStreams asserts that every recorded thread stream is exactly the
 // first ops ops of a fresh generator for that thread: the engine calls each
-// Step once per op, in order, whatever goroutine runs the thread.
+// Step once per op, in order.
 func checkStreams(t *testing.T, label string, env *Env, r *recordingWorkload, threads, ops int) {
 	t.Helper()
 	if len(r.streams) != threads {
@@ -94,29 +94,26 @@ func checkStreams(t *testing.T, label string, env *Env, r *recordingWorkload, th
 	}
 }
 
-// TestOpStreamsIndependentOfEngine: generating ops on the goroutine that
-// runs the thread must not change any thread's op stream — under
-// Sequential, forced Parallel, and a policy tick that migrates the process
-// and rebinds the engine mid-run.
+// TestOpStreamsIndependentOfEngine: generating each thread's ops right
+// before its batch must not change any thread's op stream — on a
+// multi-socket run with shared LLCs, and across a policy tick that
+// migrates the process and rebinds the engine mid-run.
 func TestOpStreamsIndependentOfEngine(t *testing.T) {
 	const sockets, perSocket, ops = 4, 2, 1000
-	for _, mode := range []Mode{Sequential, Parallel} {
-		r := &recordingWorkload{Workload: shrink(NewCannealMS())}
-		var env *Env
-		engineRunCfg(t, r, sockets, perSocket, ops, func(e *Env) EngineConfig {
-			env = e
-			return EngineConfig{Mode: mode}
-		})
-		checkStreams(t, fmt.Sprintf("mode %v", mode), env, r, sockets*perSocket, ops)
+	r := &recordingWorkload{Workload: shrink(NewCannealMS())}
+	var env *Env
+	engineRunCfg(t, r, sockets, perSocket, ops, func(e *Env) EngineConfig {
+		env = e
+		return EngineConfig{}
+	})
+	checkStreams(t, "multi-socket", env, r, sockets*perSocket, ops)
+
+	r = &recordingWorkload{Workload: shrink(NewGUPS())}
+	_, log, socket, env := migrationRun(t, r)
+	if socket != 0 || len(log) == 0 {
+		t.Fatalf("process not migrated (socket %d, log %v)", socket, log)
 	}
-	for _, mode := range []Mode{Sequential, Parallel} {
-		r := &recordingWorkload{Workload: shrink(NewGUPS())}
-		_, log, socket, env := migrationRun(t, r, mode)
-		if socket != 0 || len(log) == 0 {
-			t.Fatalf("mode %v: process not migrated (socket %d, log %v)", mode, socket, log)
-		}
-		checkStreams(t, fmt.Sprintf("rebind mode %v", mode), env, r, 1, migrationOps)
-	}
+	checkStreams(t, "rebind", env, r, 1, migrationOps)
 }
 
 // barrierProbe is a RoundTicker that classifies completed rounds from the
@@ -149,11 +146,11 @@ func (b *barrierProbe) Tick(int) error {
 	return nil
 }
 
-// TestParallelMatchesSequential is the engine's determinism contract: the
-// parallel engine must produce byte-identical counters to the sequential
-// reference engine, across workload families — GUPS (uniform writes), a
-// key-value store (zipf reads with hot objects), and a scientific code
-// (XSBench's cross-section lookups).
+// TestParallelMatchesSequential is the engine's determinism contract: two
+// fresh runs on the same inputs must produce byte-identical counters,
+// across workload families — GUPS (uniform writes), a key-value store
+// (zipf reads with hot objects), and a scientific code (XSBench's
+// cross-section lookups).
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -165,13 +162,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seq := engineRun(t, c.mk, Sequential, 4, 1, 4000)
-			par := engineRun(t, c.mk, Parallel, 4, 1, 4000)
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("parallel result diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
+			a := engineRun(t, c.mk, 4, 1, 4000)
+			b := engineRun(t, c.mk, 4, 1, 4000)
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("two runs diverged:\na: %+v\nb: %+v", a, b)
 			}
-			if seq.Ops != 4*4000 {
-				t.Errorf("Ops = %d, want %d", seq.Ops, 4*4000)
+			if a.Ops != 4*4000 {
+				t.Errorf("Ops = %d, want %d", a.Ops, 4*4000)
 			}
 		})
 	}
@@ -179,9 +176,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelMatchesSequentialSharedLLC pins the harder half of the
 // contract: multiple cores per socket share an LLC, so the engine must
-// serialize same-socket cores in canonical order to stay deterministic.
-// The STREAM case runs one op per core per round: every thread crosses a
-// page (a store walk) once in 64 rounds, so barriers with pending coherence
+// run same-socket cores in canonical order to stay deterministic. The
+// STREAM case runs one op per core per round: every thread crosses a page
+// (a store walk) once in 64 rounds, so barriers with pending coherence
 // interleave with barriers that skip the apply step.
 func TestParallelMatchesSequentialSharedLLC(t *testing.T) {
 	const sockets, perSocket = 4, 2
@@ -197,17 +194,16 @@ func TestParallelMatchesSequentialSharedLLC(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var probes []*barrierProbe
-			run := func(mode Mode) *Result {
+			run := func() *Result {
 				return engineRunCfg(t, shrink(c.mk()), sockets, perSocket, 2000, func(env *Env) EngineConfig {
 					probe := &barrierProbe{m: env.K.Machine(), cores: env.P.Cores(), sockets: sockets}
 					probes = append(probes, probe)
-					return EngineConfig{Mode: mode, Chunk: c.chunk, Ticker: probe}
+					return EngineConfig{Chunk: c.chunk, Ticker: probe}
 				})
 			}
-			seq := run(Sequential)
-			par := run(Parallel)
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("parallel result diverged with 2 cores/socket:\nseq: %+v\npar: %+v", seq, par)
+			a, b := run(), run()
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("two runs diverged with 2 cores/socket:\na: %+v\nb: %+v", a, b)
 			}
 			if c.mixed {
 				for _, p := range probes {
@@ -220,23 +216,21 @@ func TestParallelMatchesSequentialSharedLLC(t *testing.T) {
 	}
 }
 
-// TestParallelRepeatable: two parallel runs with identical inputs must be
-// identical to each other (no scheduling nondeterminism leaks into
-// counters).
+// TestParallelRepeatable: two runs of a key-value store with identical
+// inputs must be identical to each other.
 func TestParallelRepeatable(t *testing.T) {
 	mk := func() Workload { return NewRedis() }
-	a := engineRun(t, mk, Parallel, 4, 1, 3000)
-	b := engineRun(t, mk, Parallel, 4, 1, 3000)
+	a := engineRun(t, mk, 4, 1, 3000)
+	b := engineRun(t, mk, 4, 1, 3000)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("two parallel runs diverged:\na: %+v\nb: %+v", a, b)
+		t.Errorf("two runs diverged:\na: %+v\nb: %+v", a, b)
 	}
 }
 
 // policyRun executes GUPS on a 4-socket machine with a replication-policy
-// engine ticking at the round barriers, under the given engine mode. The
-// table skews to socket 0 (InitSingle first-touch), so sockets 1-3 walk
+// engine ticking at the round barriers. The table skews to socket 0 (InitSingle first-touch), so sockets 1-3 walk
 // remote until the policy replicates to them.
-func policyRun(t *testing.T, policyName string, mode Mode, ops int) (*Result, []kernel.ActionRecord, []int) {
+func policyRun(t *testing.T, policyName string, ops int) (*Result, []kernel.ActionRecord, []int) {
 	t.Helper()
 	k := kernel.New(kernel.Config{
 		Topology:      numa.NewTopology(4, 1),
@@ -265,7 +259,7 @@ func policyRun(t *testing.T, policyName string, mode Mode, ops int) (*Result, []
 		t.Fatal(err)
 	}
 	eng := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{StepPages: 8})
-	res, err := RunWith(env, w, ops, EngineConfig{Mode: mode, Ticker: eng})
+	res, err := RunWith(env, w, ops, EngineConfig{Ticker: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,47 +267,40 @@ func policyRun(t *testing.T, policyName string, mode Mode, ops int) (*Result, []
 }
 
 // TestPolicyDeterminismAcrossEngines extends the determinism contract to
-// the policy engine: identical counters AND identical policy action logs
-// across Sequential, Parallel and Auto on a 4-socket GUPS run whose
-// OnDemand policy replicates mid-run.
+// the policy engine: two runs of a 4-socket GUPS whose OnDemand policy
+// replicates mid-run give identical counters AND identical policy action
+// logs.
 func TestPolicyDeterminismAcrossEngines(t *testing.T) {
 	const ops = 4000
-	seqRes, seqLog, seqTL := policyRun(t, "ondemand", Sequential, ops)
-	parRes, parLog, parTL := policyRun(t, "ondemand", Parallel, ops)
-	autoRes, autoLog, autoTL := policyRun(t, "ondemand", Auto, ops)
+	aRes, aLog, aTL := policyRun(t, "ondemand", ops)
+	bRes, bLog, bTL := policyRun(t, "ondemand", ops)
 
-	if len(seqLog) == 0 {
+	if len(aLog) == 0 {
 		t.Fatal("OnDemand never acted: the determinism check is vacuous")
 	}
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Errorf("parallel counters diverged from sequential:\nseq: %+v\npar: %+v", seqRes, parRes)
+	if !reflect.DeepEqual(aRes, bRes) {
+		t.Errorf("counters diverged:\na: %+v\nb: %+v", aRes, bRes)
 	}
-	if !reflect.DeepEqual(seqRes, autoRes) {
-		t.Errorf("auto counters diverged from sequential:\nseq: %+v\nauto: %+v", seqRes, autoRes)
+	if !reflect.DeepEqual(aLog, bLog) {
+		t.Errorf("action logs diverged:\na: %v\nb: %v", aLog, bLog)
 	}
-	if !reflect.DeepEqual(seqLog, parLog) || !reflect.DeepEqual(seqLog, autoLog) {
-		t.Errorf("action logs diverged:\nseq:  %v\npar:  %v\nauto: %v", seqLog, parLog, autoLog)
-	}
-	if !reflect.DeepEqual(seqTL, parTL) || !reflect.DeepEqual(seqTL, autoTL) {
-		t.Errorf("replica timelines diverged:\nseq:  %v\npar:  %v\nauto: %v", seqTL, parTL, autoTL)
+	if !reflect.DeepEqual(aTL, bTL) {
+		t.Errorf("replica timelines diverged:\na: %v\nb: %v", aTL, bTL)
 	}
 }
 
 // TestStaticPolicyIsCounterTransparent: attaching the Static policy engine
 // (the pre-refactor compatibility baseline) must reproduce the counters of
-// a run with no policy engine at all, bit for bit, in both modes.
+// a run with no policy engine at all, bit for bit.
 func TestStaticPolicyIsCounterTransparent(t *testing.T) {
 	const ops = 4000
-	for _, mode := range []Mode{Sequential, Parallel} {
-		bare := engineRun(t, func() Workload { return NewGUPS() }, mode, 4, 1, ops)
-		withStatic, log, _ := policyRun(t, "static", mode, ops)
-		if len(log) != 0 {
-			t.Fatalf("static policy acted: %v", log)
-		}
-		if !reflect.DeepEqual(bare, withStatic) {
-			t.Errorf("mode %v: static policy perturbed counters:\nbare:   %+v\nstatic: %+v",
-				mode, bare, withStatic)
-		}
+	bare := engineRun(t, func() Workload { return NewGUPS() }, 4, 1, ops)
+	withStatic, log, _ := policyRun(t, "static", ops)
+	if len(log) != 0 {
+		t.Fatalf("static policy acted: %v", log)
+	}
+	if !reflect.DeepEqual(bare, withStatic) {
+		t.Errorf("static policy perturbed counters:\nbare:   %+v\nstatic: %+v", bare, withStatic)
 	}
 }
 
@@ -324,7 +311,7 @@ const migrationOps = 3000
 // engine whose tick migrates the single-threaded process from socket 2 to
 // socket 0 mid-run, and returns the result, the action log, the socket the
 // process ended on, and the run's environment.
-func migrationRun(t *testing.T, w Workload, mode Mode) (*Result, []kernel.ActionRecord, numa.SocketID, *Env) {
+func migrationRun(t *testing.T, w Workload) (*Result, []kernel.ActionRecord, numa.SocketID, *Env) {
 	t.Helper()
 	k := kernel.New(kernel.Config{
 		Topology:      numa.NewTopology(4, 1),
@@ -356,7 +343,7 @@ func migrationRun(t *testing.T, w Workload, mode Mode) (*Result, []kernel.Action
 		t.Fatal(err)
 	}
 	eng := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{})
-	res, err := RunWith(env, w, migrationOps, EngineConfig{Mode: mode, Ticker: eng})
+	res, err := RunWith(env, w, migrationOps, EngineConfig{Ticker: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,26 +351,22 @@ func migrationRun(t *testing.T, w Workload, mode Mode) (*Result, []kernel.Action
 }
 
 // TestPolicyMigrationRebindsEngine: a CostAdaptive tick that migrates the
-// process mid-run must rebind the engine's threads to the new cores, with
-// Sequential and Parallel agreeing on every counter.
+// process mid-run must rebind the engine's threads to the new cores, and
+// two such runs must agree on every counter and action.
 func TestPolicyMigrationRebindsEngine(t *testing.T) {
-	run := func(mode Mode) (*Result, []kernel.ActionRecord, numa.SocketID) {
-		res, log, socket, _ := migrationRun(t, shrink(NewGUPS()), mode)
-		return res, log, socket
+	aRes, aLog, aSock, _ := migrationRun(t, shrink(NewGUPS()))
+	bRes, bLog, bSock, _ := migrationRun(t, shrink(NewGUPS()))
+	if aSock != 0 || bSock != 0 {
+		t.Fatalf("process not migrated to socket 0 (%d, %d); log %v", aSock, bSock, aLog)
 	}
-	seqRes, seqLog, seqSock := run(Sequential)
-	parRes, parLog, parSock := run(Parallel)
-	if seqSock != 0 || parSock != 0 {
-		t.Fatalf("process not migrated to socket 0 (seq %d, par %d); log %v", seqSock, parSock, seqLog)
-	}
-	if len(seqLog) == 0 {
+	if len(aLog) == 0 {
 		t.Fatal("cost-adaptive policy never acted")
 	}
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Errorf("rebind broke determinism:\nseq: %+v\npar: %+v", seqRes, parRes)
+	if !reflect.DeepEqual(aRes, bRes) {
+		t.Errorf("rebind broke determinism:\na: %+v\nb: %+v", aRes, bRes)
 	}
-	if !reflect.DeepEqual(seqLog, parLog) {
-		t.Errorf("action logs diverged:\nseq: %v\npar: %v", seqLog, parLog)
+	if !reflect.DeepEqual(aLog, bLog) {
+		t.Errorf("action logs diverged:\na: %v\nb: %v", aLog, bLog)
 	}
 }
 
@@ -423,7 +406,7 @@ func TestPolicyEngineReuseAcrossRuns(t *testing.T) {
 	// StepPages 1 keeps a copy in flight across many ticks, so the first
 	// short run ends with unfinished jobs.
 	eng := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{StepPages: 1})
-	if _, err := RunWith(env, w, 96, EngineConfig{Mode: Sequential, Ticker: eng}); err != nil {
+	if _, err := RunWith(env, w, 96, EngineConfig{Ticker: eng}); err != nil {
 		t.Fatal(err)
 	}
 	if eng.InFlight() != 0 {
@@ -434,7 +417,7 @@ func TestPolicyEngineReuseAcrossRuns(t *testing.T) {
 	// Second run with the same engine: ResetStats has zeroed the counters
 	// the engine snapshotted. Deltas must stay sane — a few replicate
 	// actions at most, never a flood from underflowed telemetry.
-	if _, err := RunWith(env, w, 96, EngineConfig{Mode: Sequential, Ticker: eng}); err != nil {
+	if _, err := RunWith(env, w, 96, EngineConfig{Ticker: eng}); err != nil {
 		t.Fatal(err)
 	}
 	newActions := len(eng.ActionLog()) - firstActions
@@ -449,14 +432,14 @@ func TestPolicyEngineReuseAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestParallelStress hammers the shared state the parallel engine must
-// protect: 4 sockets x 2 cores issue concurrent batches against one
-// address space that is NOT pre-populated, so the cores race through the
-// demand-paging fault path (allocator, page cache, mapper, meter) while
-// walking and mutating one shared page-table. Run under -race this is the
-// engine's data-race certification; the counter checks below only assert
-// conservation, not determinism (fault-time allocation order is
-// scheduling-dependent by design).
+// TestParallelStress hammers the shared state concurrent AccessBatch
+// callers must be able to rely on: 4 sockets x 2 cores issue concurrent
+// batches against one address space that is NOT pre-populated, so the
+// cores race through the demand-paging fault path (allocator, page cache,
+// mapper, meter) while walking and mutating one shared page-table. Run
+// under -race this is the machine's data-race certification; the counter
+// checks below only assert conservation, not determinism (fault-time
+// allocation order is scheduling-dependent by design).
 func TestParallelStress(t *testing.T) {
 	const sockets, perSocket = 4, 2
 	k := kernel.New(kernel.Config{

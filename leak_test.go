@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// TestRunLeaksNoGoroutines pins that the Run loop — including the
-// parallel engine's per-socket workers and the sweep runner's pool —
-// leaves no goroutines behind: a sweep-scale caller executes hundreds of
+// TestRunLeaksNoGoroutines pins that the Run loop, the sweep runner's
+// pool and the churn engine's per-socket workers leave no goroutines
+// behind: a sweep-scale caller executes hundreds of
 // runs per invocation, so even one leaked goroutine per run would
 // accumulate into thousands.
 func TestRunLeaksNoGoroutines(t *testing.T) {
@@ -20,16 +20,14 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			WithPhases(Measure(200)))))
 
 	// Warm up once so lazily started runtime helpers don't count as leaks.
-	if _, err := Run(sc, WithEngine(ParallelEngine)); err != nil {
+	if _, err := Run(sc); err != nil {
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
 
-	for i := 0; i < 150; i++ {
-		if _, err := Run(sc, WithEngine(ParallelEngine)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(sc, WithEngine(SequentialEngine)); err != nil {
+	const runs, churns = 150, 50
+	for i := 0; i < runs; i++ {
+		if _, err := Run(sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +49,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		Procs:        4,
 		PagesPerProc: 64,
 	}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < churns; i++ {
 		if _, err := RunChurn(ch); err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +63,8 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after %d runs", baseline, runtime.NumGoroutine(), 301)
+			t.Fatalf("goroutines grew from %d to %d after %d runs, a sweep and %d churns",
+				baseline, runtime.NumGoroutine(), runs, churns)
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)

@@ -41,11 +41,11 @@ func resetScenarios() []Scenario {
 }
 
 // mustRun runs sc on sys and fails the test on error.
-func mustRun(t *testing.T, sys *System, sc Scenario, mode EngineMode) *RunResult {
+func mustRun(t *testing.T, sys *System, sc Scenario) *RunResult {
 	t.Helper()
-	rr, err := sys.Run(sc, WithEngine(mode))
+	rr, err := sys.Run(sc)
 	if err != nil {
-		t.Fatalf("%s (%v): %v", sc.Name, mode, err)
+		t.Fatalf("%s: %v", sc.Name, err)
 	}
 	return rr
 }
@@ -66,35 +66,32 @@ func sameResult(t *testing.T, label string, fresh, reused *RunResult) {
 
 // TestResetBitIdentical pins the machine-recycling contract: running a
 // scenario on a Reset system reproduces a fresh system's counters
-// bit-for-bit, across all engine modes, including heavy fragmentation
-// and virtualization. It also cross-pollutes: the reset system ran a
+// bit-for-bit, including heavy fragmentation and virtualization. It also cross-pollutes: the reset system ran a
 // *different* scenario first, so any state leaking through Reset shifts
 // placement and breaks the comparison.
 func TestResetBitIdentical(t *testing.T) {
 	scs := resetScenarios()
-	for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
-		for i, sc := range scs {
-			fresh := mustRun(t, NewSystem(sc.Machine), sc, mode)
+	for i, sc := range scs {
+		fresh := mustRun(t, NewSystem(sc.Machine), sc)
 
-			// Reused path: run the next scenario (different machine state),
-			// then Reset only if machines match — otherwise dirty the
-			// system with a rerun of the same scenario.
-			sys := NewSystem(sc.Machine)
-			dirty := scs[(i+1)%len(scs)]
-			if dirty.Machine.normalize() == sc.Machine.normalize() {
-				mustRun(t, sys, dirty, mode)
-			} else {
-				mustRun(t, sys, sc, mode)
-			}
-			sys.Reset()
-			reused := mustRun(t, sys, sc, mode)
-			sameResult(t, sc.Name+"/"+mode.String(), fresh, reused)
-
-			// And again: Reset must be stable over repeated cycles.
-			sys.Reset()
-			again := mustRun(t, sys, sc, mode)
-			sameResult(t, sc.Name+"/"+mode.String()+"/cycle2", fresh, again)
+		// Reused path: run the next scenario (different machine state),
+		// then Reset only if machines match — otherwise dirty the system
+		// with a rerun of the same scenario.
+		sys := NewSystem(sc.Machine)
+		dirty := scs[(i+1)%len(scs)]
+		if dirty.Machine.normalize() == sc.Machine.normalize() {
+			mustRun(t, sys, dirty)
+		} else {
+			mustRun(t, sys, sc)
 		}
+		sys.Reset()
+		reused := mustRun(t, sys, sc)
+		sameResult(t, sc.Name, fresh, reused)
+
+		// And again: Reset must be stable over repeated cycles.
+		sys.Reset()
+		again := mustRun(t, sys, sc)
+		sameResult(t, sc.Name+"/cycle2", fresh, again)
 	}
 }
 
@@ -103,14 +100,14 @@ func TestResetBitIdentical(t *testing.T) {
 // same counters as NewSystem.
 func TestPooledRunMatchesFresh(t *testing.T) {
 	sc := resetScenarios()[1]
-	fresh := mustRun(t, NewSystem(sc.Machine), sc, SequentialEngine)
+	fresh := mustRun(t, NewSystem(sc.Machine), sc)
 
 	sys := AcquireSystem(sc.Machine)
-	mustRun(t, sys, sc, SequentialEngine)
+	mustRun(t, sys, sc)
 	sys.Release()
 
 	pooled := AcquireSystem(sc.Machine)
-	reused := mustRun(t, pooled, sc, SequentialEngine)
+	reused := mustRun(t, pooled, sc)
 	pooled.Release()
 	sameResult(t, "pooled", fresh, reused)
 }

@@ -2,10 +2,14 @@ package mitosis
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
 // testBackend is the translation backend the suite runs under:
@@ -162,39 +166,12 @@ func TestScenarioUnmarshalStrict(t *testing.T) {
 	}
 }
 
-// TestRunDeterminismAcrossModes: the acceptance bar of the scenario API —
-// a two-process scenario with an attached ondemand policy produces
-// bit-identical RunResult counters in Sequential, Parallel and Auto
-// engine modes, and replaying the scenario from its serialized JSON
-// reproduces them again.
-func TestRunDeterminismAcrossModes(t *testing.T) {
-	sc := testScenario()
-	var ref *RunResult
-	for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
-		rr, err := Run(sc, WithEngine(mode))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if len(rr.Policies) == 0 || len(rr.Policies[0].Actions) == 0 {
-			t.Fatalf("%v: ondemand policy never acted (actions %v)", mode, rr.Policies)
-		}
-		if ref == nil {
-			ref = rr
-			continue
-		}
-		if !reflect.DeepEqual(ref.Phases, rr.Phases) {
-			t.Errorf("%v: phase counters diverged from sequential:\nseq: %+v\ngot: %+v", mode, ref.Phases, rr.Phases)
-		}
-		if !reflect.DeepEqual(ref.Policies, rr.Policies) {
-			t.Errorf("%v: policy telemetry diverged:\nseq: %+v\ngot: %+v", mode, ref.Policies, rr.Policies)
-		}
-		if ref.ReplicaPTPages != rr.ReplicaPTPages {
-			t.Errorf("%v: replica PT pages %d, want %d", mode, rr.ReplicaPTPages, ref.ReplicaPTPages)
-		}
-	}
-
-	// JSON replay: serialize the spec the run recorded, decode, re-run.
-	data, err := json.Marshal(ref.Scenario)
+// replayRun re-runs rr's recorded scenario after a JSON round trip, with
+// the recorded chunk. By the determinism contract the result reproduces
+// rr's counters.
+func replayRun(t *testing.T, rr *RunResult) *RunResult {
+	t.Helper()
+	data, err := json.Marshal(rr.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,29 +179,51 @@ func TestRunDeterminismAcrossModes(t *testing.T) {
 	if err := json.Unmarshal(data, &replayed); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Run(replayed, WithEngine(SequentialEngine))
+	again, err := Run(replayed, WithChunk(rr.Chunk))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return again
+}
+
+// TestRunDeterminismAcrossModes: the acceptance bar of the scenario API —
+// a two-process scenario with an attached ondemand policy, replayed from
+// its serialized JSON, reproduces every RunResult counter, the policy
+// telemetry and the replica page count bit-identically.
+func TestRunDeterminismAcrossModes(t *testing.T) {
+	sc := testScenario()
+	ref, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Policies) == 0 || len(ref.Policies[0].Actions) == 0 {
+		t.Fatalf("ondemand policy never acted (actions %v)", ref.Policies)
+	}
+	if ref.Engine != "auto" {
+		t.Errorf("RunResult.Engine = %q, want auto", ref.Engine)
+	}
+	rr := replayRun(t, ref)
 	if !reflect.DeepEqual(ref.Phases, rr.Phases) {
-		t.Error("JSON replay diverged from the original run")
+		t.Errorf("JSON replay: phase counters diverged:\nref: %+v\ngot: %+v", ref.Phases, rr.Phases)
+	}
+	if !reflect.DeepEqual(ref.Policies, rr.Policies) {
+		t.Errorf("JSON replay: policy telemetry diverged:\nref: %+v\ngot: %+v", ref.Policies, rr.Policies)
+	}
+	if ref.ReplicaPTPages != rr.ReplicaPTPages {
+		t.Errorf("JSON replay: replica PT pages %d, want %d", rr.ReplicaPTPages, ref.ReplicaPTPages)
 	}
 
 	// A non-default chunk is part of the record: replaying with the
 	// recorded chunk reproduces the counters; the default chunk would
 	// shift the policy's tick rounds.
-	chunked, err := Run(sc, WithEngine(SequentialEngine), WithChunk(512))
+	chunked, err := Run(sc, WithChunk(512))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if chunked.Chunk != 512 {
 		t.Errorf("RunResult.Chunk = %d, want 512", chunked.Chunk)
 	}
-	rechunked, err := Run(chunked.Scenario, WithEngine(SequentialEngine), WithChunk(chunked.Chunk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(chunked.Phases, rechunked.Phases) {
+	if rechunked := replayRun(t, chunked); !reflect.DeepEqual(chunked.Phases, rechunked.Phases) {
 		t.Error("replay with the recorded chunk diverged")
 	}
 
@@ -242,7 +241,10 @@ func TestRunDeterminismAcrossModes(t *testing.T) {
 }
 
 // TestRunObserver: the observer sees every round barrier with consistent
-// deltas, and observing does not change the counters.
+// deltas, and observing does not change the counters. It also pins the
+// observer's pacing (WithObserver): without a tiering policy a phase of r
+// rounds yields r/Policy.TickEvery events, rounded down; with one it
+// yields r.
 func TestRunObserver(t *testing.T) {
 	sc := testScenario()
 	var ticks int
@@ -253,7 +255,7 @@ func TestRunObserver(t *testing.T) {
 			opsSeen += st.Ops
 		}
 	})
-	withObs, err := Run(sc, WithEngine(SequentialEngine), WithObserver(obs))
+	withObs, err := Run(sc, WithObserver(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +269,72 @@ func TestRunObserver(t *testing.T) {
 	if opsSeen != totalOps {
 		t.Errorf("observer saw %d ops, results carry %d", opsSeen, totalOps)
 	}
-	plain, err := Run(sc, WithEngine(SequentialEngine))
+	plain, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain.Phases, withObs.Phases) {
 		t.Error("observing changed the counters")
+	}
+
+	paced := testScenario()
+	paced.Processes[0].Policy.TickEvery = 4 // ondemand policy, no tiering
+	paced.Processes[1].Policy.TickEvery = 3 // no policy at all
+	tiered := testTierScenario()
+	tiered.Processes[0].Policy.TickEvery = 4 // tiering: every round
+	tiered.Processes[1].Policy.TickEvery = 5 // no tiering
+	for _, sc := range []Scenario{paced, tiered} {
+		ticks := map[string]int{}
+		obs := ObserverFunc(func(ev TickEvent) { ticks[ev.Process+"/"+ev.Phase]++ })
+		if _, err := Run(sc, WithObserver(obs)); err != nil {
+			t.Fatal(err)
+		}
+		for _, ps := range sc.Processes {
+			for _, ph := range ps.Phases {
+				want := workloads.Rounds(ph.Ops, 0)
+				if !ps.Tiering.wants() {
+					want /= ps.Policy.TickEvery
+				}
+				if got := ticks[ps.Name+"/"+ph.Name]; got != want {
+					t.Errorf("%s: %s/%s: %d observer events, want %d", sc.Name, ps.Name, ph.Name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRunHugeChunk: a chunk longer than a phase runs the phase in one
+// round, exactly like a chunk equal to it. The engine sizes its op buffers
+// by the phase, not the chunk, and the cumulative round clock does not
+// overflow even at math.MaxInt.
+func TestRunHugeChunk(t *testing.T) {
+	sc := NewScenario("test/huge-chunk",
+		OnMachine(SystemConfig{Sockets: 2, CoresPerSocket: 1, MemoryPerNode: 64 << 20}),
+		WithSeed(3),
+		WithProc(NewProc("w", GUPS(Scaled(1.0/64)),
+			OnSockets(0, 1),
+			WithPhases(Warmup(64), Measure(64)))))
+	run := func(chunk int) (*RunResult, []int) {
+		var rounds []int
+		obs := ObserverFunc(func(ev TickEvent) { rounds = append(rounds, ev.Round) })
+		rr, err := Run(sc, WithChunk(chunk), WithObserver(obs))
+		if err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
+		}
+		return rr, rounds
+	}
+	want, wantRounds := run(64)
+	if !slices.Equal(wantRounds, []int{1, 2}) {
+		t.Fatalf("chunk 64: observer rounds %v, want [1 2]", wantRounds)
+	}
+	for _, chunk := range []int{1 << 40, math.MaxInt} {
+		got, rounds := run(chunk)
+		if !reflect.DeepEqual(want.Phases, got.Phases) {
+			t.Errorf("chunk %d: phases diverged from chunk 64:\nwant: %+v\ngot:  %+v", chunk, want.Phases, got.Phases)
+		}
+		if !slices.Equal(rounds, wantRounds) {
+			t.Errorf("chunk %d: observer rounds %v, want %v", chunk, rounds, wantRounds)
+		}
 	}
 }
 
@@ -455,30 +517,15 @@ func TestVirtScenarioValidationErrors(t *testing.T) {
 
 // TestVirtRunDeterminismAcrossModes: the acceptance bar of the
 // virtualized scenario path — a multi-socket guest process under the
-// ondemand policy produces bit-identical counters in Sequential, Parallel
-// and Auto engine modes, and replaying the serialized spec reproduces
-// them again.
+// ondemand policy, replayed from its serialized spec, reproduces every
+// counter and the policy telemetry bit-identically.
 func TestVirtRunDeterminismAcrossModes(t *testing.T) {
-	sc := testVirtScenario()
-	var ref *RunResult
-	for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
-		rr, err := Run(sc, WithEngine(mode))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if len(rr.Policies) == 0 || len(rr.Policies[0].Actions) == 0 {
-			t.Fatalf("%v: ondemand policy never acted on the VM (policies %v)", mode, rr.Policies)
-		}
-		if ref == nil {
-			ref = rr
-			continue
-		}
-		if !reflect.DeepEqual(ref.Phases, rr.Phases) {
-			t.Errorf("%v: phase counters diverged:\nseq: %+v\ngot: %+v", mode, ref.Phases, rr.Phases)
-		}
-		if !reflect.DeepEqual(ref.Policies, rr.Policies) {
-			t.Errorf("%v: policy telemetry diverged:\nseq: %+v\ngot: %+v", mode, ref.Policies, rr.Policies)
-		}
+	ref, err := Run(testVirtScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Policies) == 0 || len(ref.Policies[0].Actions) == 0 {
+		t.Fatalf("ondemand policy never acted on the VM (policies %v)", ref.Policies)
 	}
 
 	m := ref.Measured("gups-vm")
@@ -492,21 +539,12 @@ func TestVirtRunDeterminismAcrossModes(t *testing.T) {
 		t.Errorf("replica nodes after policy run = %v, want vCPU nodes added", m.ReplicaNodes)
 	}
 
-	// JSON replay reproduces the run bit-for-bit.
-	data, err := json.Marshal(ref.Scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayed Scenario
-	if err := json.Unmarshal(data, &replayed); err != nil {
-		t.Fatal(err)
-	}
-	rr, err := Run(replayed, WithEngine(SequentialEngine))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rr := replayRun(t, ref)
 	if !reflect.DeepEqual(ref.Phases, rr.Phases) {
-		t.Error("JSON replay of the virtualized scenario diverged")
+		t.Errorf("JSON replay of the virtualized scenario diverged:\nref: %+v\ngot: %+v", ref.Phases, rr.Phases)
+	}
+	if !reflect.DeepEqual(ref.Policies, rr.Policies) {
+		t.Errorf("JSON replay: policy telemetry diverged:\nref: %+v\ngot: %+v", ref.Policies, rr.Policies)
 	}
 }
 
@@ -526,7 +564,7 @@ func TestVirtStaticReplicationRecovery(t *testing.T) {
 				WithPhases(Warmup(500), Measure(2000)),
 			)),
 		)
-		rr, err := Run(sc, WithEngine(SequentialEngine))
+		rr, err := Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -576,47 +614,40 @@ func stressScenario() Scenario {
 	)
 }
 
-// TestStressEquivalenceAcrossModes is the cross-mode equivalence stress
-// bar guarding the host-speed overhaul (lock-free single-writer LLC, TLB
-// probe short-circuit, O(1) frame allocator, barrier-folded AutoNUMA
-// sampling, cached TLB nodes): the full stress scenario — virtualized
-// process, fragmentation, THP fallback, two policies acting at barriers —
-// must produce bit-identical RunResult counters AND action logs in
-// Sequential, Parallel and Auto modes. CI runs it under -race, which
-// additionally proves the lock-free paths respect the barrier discipline.
-// The 1GB-mapping dimension (no public construction path) is covered by
-// the kernel-level TestEngineEquivalence1GFragmented.
+// TestStressEquivalenceAcrossModes is the repeatability stress bar
+// guarding the host-speed overhaul (lock-free single-writer LLC, TLB probe
+// short-circuit, O(1) frame allocator, barrier-folded AutoNUMA sampling,
+// cached TLB nodes): the full stress scenario — virtualized process,
+// fragmentation, THP fallback, two policies acting at barriers — replayed
+// from its serialized spec must reproduce every RunResult counter AND
+// action log. CI runs it under -race, which additionally proves the
+// lock-free paths respect the barrier discipline. The 1GB-mapping
+// dimension (no public construction path) is covered by the kernel-level
+// TestEngineEquivalence1GFragmented.
 func TestStressEquivalenceAcrossModes(t *testing.T) {
-	sc := stressScenario()
-	var ref *RunResult
-	for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
-		rr, err := Run(sc, WithEngine(mode))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		acted := 0
-		for _, po := range rr.Policies {
-			acted += len(po.Actions)
-		}
-		if acted == 0 {
-			t.Fatalf("%v: no policy actions — the stress scenario must drive barrier-time kernel work", mode)
-		}
-		if ref == nil {
-			ref = rr
-			continue
-		}
-		if !reflect.DeepEqual(ref.Phases, rr.Phases) {
-			t.Errorf("%v: phase counters diverged:\nref: %+v\ngot: %+v", mode, ref.Phases, rr.Phases)
-		}
-		if !reflect.DeepEqual(ref.Policies, rr.Policies) {
-			t.Errorf("%v: policy action logs diverged:\nref: %+v\ngot: %+v", mode, ref.Policies, rr.Policies)
-		}
-		if ref.ReplicaPTPages != rr.ReplicaPTPages {
-			t.Errorf("%v: replica PT pages %d, want %d", mode, rr.ReplicaPTPages, ref.ReplicaPTPages)
-		}
+	ref, err := Run(stressScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	acted := 0
+	for _, po := range ref.Policies {
+		acted += len(po.Actions)
+	}
+	if acted == 0 {
+		t.Fatal("no policy actions — the stress scenario must drive barrier-time kernel work")
 	}
 	// The guest dimension must really have run as a guest.
 	if m := ref.Measured("gups-vm"); m == nil || m.Counters.NestedWalkCycles == 0 {
 		t.Error("stress scenario did not exercise the 2D-walk path")
+	}
+	rr := replayRun(t, ref)
+	if !reflect.DeepEqual(ref.Phases, rr.Phases) {
+		t.Errorf("phase counters diverged:\nref: %+v\ngot: %+v", ref.Phases, rr.Phases)
+	}
+	if !reflect.DeepEqual(ref.Policies, rr.Policies) {
+		t.Errorf("policy action logs diverged:\nref: %+v\ngot: %+v", ref.Policies, rr.Policies)
+	}
+	if ref.ReplicaPTPages != rr.ReplicaPTPages {
+		t.Errorf("replica PT pages %d, want %d", rr.ReplicaPTPages, ref.ReplicaPTPages)
 	}
 }

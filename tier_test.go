@@ -97,37 +97,19 @@ func TestTierScenarioValidationErrors(t *testing.T) {
 }
 
 // TestTierRunDeterminismAcrossModes: the acceptance bar of the tiering
-// path — the tier engine's telemetry and every counter reproduce
-// bit-identically in Sequential, Parallel and Auto engine modes, running
-// concurrently with a replication policy, and replaying the serialized
-// spec reproduces them again.
+// path — with the tier engine running concurrently with a replication
+// policy, replaying the serialized spec reproduces the tier engine's
+// telemetry, the policy telemetry and every counter bit-identically.
 func TestTierRunDeterminismAcrossModes(t *testing.T) {
-	sc := testTierScenario()
-	var ref *RunResult
-	for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
-		rr, err := Run(sc, WithEngine(mode))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if len(rr.Tiering) != 1 || len(rr.Tiering[0].Actions) == 0 {
-			t.Fatalf("%v: tier policy never acted (tiering %+v)", mode, rr.Tiering)
-		}
-		if rr.Tiering[0].PTMoves == 0 {
-			t.Fatalf("%v: stranded page-table was not moved: %+v", mode, rr.Tiering[0])
-		}
-		if ref == nil {
-			ref = rr
-			continue
-		}
-		if !reflect.DeepEqual(ref.Phases, rr.Phases) {
-			t.Errorf("%v: phase counters diverged:\nseq: %+v\ngot: %+v", mode, ref.Phases, rr.Phases)
-		}
-		if !reflect.DeepEqual(ref.Tiering, rr.Tiering) {
-			t.Errorf("%v: tiering telemetry diverged:\nseq: %+v\ngot: %+v", mode, ref.Tiering, rr.Tiering)
-		}
-		if !reflect.DeepEqual(ref.Policies, rr.Policies) {
-			t.Errorf("%v: policy telemetry diverged:\nseq: %+v\ngot: %+v", mode, ref.Policies, rr.Policies)
-		}
+	ref, err := Run(testTierScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.Tiering) != 1 || len(ref.Tiering[0].Actions) == 0 {
+		t.Fatalf("tier policy never acted (tiering %+v)", ref.Tiering)
+	}
+	if ref.Tiering[0].PTMoves == 0 {
+		t.Fatalf("stranded page-table was not moved: %+v", ref.Tiering[0])
 	}
 
 	// The treated process starts with walker reads on the CXL node and the
@@ -143,21 +125,15 @@ func TestTierRunDeterminismAcrossModes(t *testing.T) {
 			treated.TierWalkFraction(), control.TierWalkFraction())
 	}
 
-	// JSON replay reproduces the tiering telemetry bit-identically.
-	data, err := json.Marshal(ref.Scenario)
-	if err != nil {
-		t.Fatal(err)
+	rr := replayRun(t, ref)
+	if !reflect.DeepEqual(ref.Phases, rr.Phases) {
+		t.Errorf("JSON replay: phase counters diverged:\nref: %+v\ngot: %+v", ref.Phases, rr.Phases)
 	}
-	var replayed Scenario
-	if err := json.Unmarshal(data, &replayed); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(ref.Tiering, rr.Tiering) {
+		t.Errorf("JSON replay: tiering telemetry diverged:\nref: %+v\ngot: %+v", ref.Tiering, rr.Tiering)
 	}
-	rr, err := Run(replayed, WithEngine(SequentialEngine))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref.Phases, rr.Phases) || !reflect.DeepEqual(ref.Tiering, rr.Tiering) {
-		t.Error("JSON replay diverged from the original run")
+	if !reflect.DeepEqual(ref.Policies, rr.Policies) {
+		t.Errorf("JSON replay: policy telemetry diverged:\nref: %+v\ngot: %+v", ref.Policies, rr.Policies)
 	}
 }
 
