@@ -447,10 +447,10 @@ func testHotPathZeroAlloc(t *testing.T, hardware translate.Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second process on another socket: the fault path is sharded per
-	// process, and steady-state batches interleaved across two processes'
-	// cores must stay allocation-free too — the per-core current[] lookup
-	// and the per-process lock plumbing may not allocate.
+	// A second process on another socket: steady-state batches
+	// interleaved across two processes' cores must stay allocation-free
+	// too — the per-core current[] lookup and the fault lock may not
+	// allocate.
 	p2, err := k.CreateProcess(kernel.ProcessOpts{Name: "zeroalloc2", Home: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -21,9 +21,8 @@ func testChurn() Churn {
 
 // TestChurnDeterministicAcrossWorkersAndLock pins the churn engine's
 // contract: the simulated outcome — counters, spawn/exit counts and the
-// full fault-latency histogram — is bit-identical for any host worker
-// count and for either fault-lock mode. Only host-side throughput may
-// differ.
+// full fault-latency histogram — is bit-identical run to run, and the
+// retired Workers and GlobalLock fields decode but change nothing.
 func TestChurnDeterministicAcrossWorkersAndLock(t *testing.T) {
 	ref, err := RunChurn(testChurn())
 	if err != nil {
@@ -40,21 +39,29 @@ func TestChurnDeterministicAcrossWorkersAndLock(t *testing.T) {
 	if ref.P99 <= ref.P50 {
 		t.Errorf("p99 %d not above p50 %d; THP tail missing from the distribution", ref.P99, ref.P50)
 	}
-	for _, alt := range []Churn{
-		func() Churn { c := testChurn(); c.Workers = 1; return c }(),
-		func() Churn { c := testChurn(); c.Workers = 2; return c }(),
-		func() Churn { c := testChurn(); c.GlobalLock = true; return c }(),
-		func() Churn { c := testChurn(); c.GlobalLock = true; c.Workers = 1; return c }(),
-	} {
-		got, err := RunChurn(alt)
+	checkChurnRepeats(t, testChurn(), ref)
+}
+
+// checkChurnRepeats reruns spec fresh and with the retired Workers and
+// GlobalLock fields set: both runs must reproduce ref bit-for-bit, and
+// both normalized specs must hold zero for both fields.
+func checkChurnRepeats(t *testing.T, spec Churn, ref *ChurnResult) {
+	t.Helper()
+	legacy := spec
+	legacy.Workers, legacy.GlobalLock = 4, true
+	for _, c := range []Churn{spec, legacy} {
+		got, err := RunChurn(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.DeterministicEquals(ref) {
 			t.Errorf("workers=%d globalLock=%v diverged from reference:\nref: ops=%d faults=%d cycles=%d hist=%v\ngot: ops=%d faults=%d cycles=%d hist=%v",
-				alt.Workers, alt.GlobalLock,
+				c.Workers, c.GlobalLock,
 				ref.Ops, ref.Faults, ref.Cycles, ref.FaultHist,
 				got.Ops, got.Faults, got.Cycles, got.FaultHist)
+		}
+		if got.Churn.Workers != 0 || got.Churn.GlobalLock {
+			t.Errorf("normalized spec keeps workers=%d globalLock=%v, want 0/false", got.Churn.Workers, got.Churn.GlobalLock)
 		}
 	}
 }

@@ -46,10 +46,10 @@
 // bit-for-bit.
 //
 // The churn target (opt-in, like sweep) runs the datacenter-churn
-// multi-process fault storm under both the sharded per-process fault lock
-// and the legacy global lock, reporting the host-throughput ratio and the
-// simulated fault-latency tail (p50/p95/p99); -churn-baseline FILE
-// compares against a committed BENCH_churn.json like -sweep-baseline.
+// multi-process fault storm five times, checks every repetition
+// reproduces the first bit-for-bit, and reports the best host throughput
+// and the simulated fault-latency tail (p50/p95/p99); -churn-baseline
+// FILE compares against a committed BENCH_churn.json like -sweep-baseline.
 //
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
 // the whole invocation for digging into simulator hot paths.
@@ -84,15 +84,15 @@ var targets = []targetInfo{
 	{"fig1", "composite motivation summary: stranded tables vs replicated"},
 	{"fig3", "page-table placement dump across sockets"},
 	{"fig4", "remote page-walk fractions per configuration"},
-	{"fig6", "multi-socket 4KB speedups over stranded baseline"},
-	{"fig9a", "workload-migration slowdowns, 4KB pages"},
-	{"fig9b", "workload-migration slowdowns, THP"},
-	{"fig10a", "multi-socket Mitosis speedups, 4KB pages"},
-	{"fig10b", "multi-socket Mitosis speedups, THP"},
-	{"fig11", "TLB and page-walk breakdown under migration"},
+	{"fig6", "workload-migration placement matrix: 7 page-table/data configurations, 4KB pages"},
+	{"fig9a", "multi-socket data placements with and without Mitosis, 4KB pages"},
+	{"fig9b", "multi-socket data placements with and without Mitosis, THP"},
+	{"fig10a", "workload migration: stranded page-tables vs Mitosis migrating them, 4KB pages"},
+	{"fig10b", "workload migration: stranded page-tables vs Mitosis migrating them, THP"},
+	{"fig11", "THP under heavy memory fragmentation, with and without Mitosis"},
 	{"table4", "per-workload page-table sizes and replication overhead"},
 	{"table5", "VMA-operation costs with and without replication"},
-	{"table6", "virtualized gPT/ePT replication ladder"},
+	{"table6", "end-to-end overhead of idle Mitosis (replication on vs off, incl. initialization)"},
 	{"ablations", "design ablations: propagation, 5-level, page cache, policies, async, virt"},
 	{"policy", "runtime replication-policy comparison (none/static/ondemand/costadaptive)"},
 	{"scenario", "canonical declarative scenario, replayable via BENCH_scenario.json"},
@@ -101,7 +101,7 @@ var targets = []targetInfo{
 	{"hwcmp", "translation-backend comparison: x8664 vs la57 vs victima, replayable via BENCH_hw.json"},
 	{"faults", "fault-injection kill-vs-recover ladder: MCE failover, node offlining, OOM, replayable via BENCH_fault.json"},
 	{"perf", "simulator hot-path host-throughput trajectory (BENCH_perf.json)"},
-	{"churn", "multi-process churn: sharded vs global fault lock + tail latency, replayable via BENCH_churn.json (not in \"all\")"},
+	{"churn", "multi-process churn: fault-storm throughput + tail latency, replayable via BENCH_churn.json (not in \"all\")"},
 	{"sweep", "fleet-scale pooled scenario grid, replayable via BENCH_sweep.json (not in \"all\")"},
 }
 
@@ -243,10 +243,7 @@ func realMain() int {
 		Workers: *workers,
 		Serial:  *serial,
 	}
-	churnOpt := experiments.ChurnOptions{
-		Quick:   *quick,
-		Workers: *workers,
-	}
+	churnOpt := experiments.ChurnOptions{Quick: *quick}
 
 	for _, target := range requested {
 		start := time.Now()
@@ -500,7 +497,7 @@ func compareSweep(sb *experiments.SweepBench, path string, tolerance float64) er
 }
 
 // compareChurn fills cb's baseline column from the BENCH_churn.json at
-// path and fails when the sharded throughput regressed beyond tolerance.
+// path and fails when the throughput regressed beyond tolerance.
 func compareChurn(cb *experiments.ChurnBench, path string, tolerance float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -15,17 +15,13 @@ import (
 // processes arriving, fault-storming their memory in, and exiting against
 // a shared (optionally fragmented) machine. Each socket hosts one live
 // process at a time; when it has touched all its pages it exits at a round
-// barrier and the next process of the stream spawns in its place. Faults
-// from different sockets therefore always belong to *different* processes
-// — exactly the multi-process contention the sharded per-process fault
-// lock removes and the legacy global lock serializes.
+// barrier and the next process of the stream spawns in its place.
 //
-// The run is deterministic: spawn and exit happen only at round barriers
-// in canonical socket order, each process allocates data and page-table
-// pages on its own socket's node (first-touch), and every simulated
-// counter — including the fault-latency histogram — is bit-identical for
-// any Workers count and either lock mode. Only host-side throughput
-// changes with the lock, which is what the churn benchmark measures.
+// The run is deterministic: the calling goroutine drives every active
+// socket's slot in canonical socket order, spawn and exit happen only at
+// round barriers, and each process allocates data and page-table pages on
+// its own socket's node (first-touch), so every simulated counter —
+// including the fault-latency histogram — is bit-identical run to run.
 type Churn struct {
 	// Name labels the run in records.
 	Name string `json:"name"`
@@ -68,12 +64,12 @@ type Churn struct {
 	Pressure float64 `json:"pressure,omitempty"`
 	// Seed drives the fragmentation pattern (default 42).
 	Seed int64 `json:"seed"`
-	// GlobalLock selects the legacy machine-wide fault lock instead of
-	// the sharded per-process locks: the measurement baseline.
+	// GlobalLock is decoded and ignored: the kernel has one fault lock.
+	// It remains so that specs and records written when it chose a lock
+	// mode still decode; normalize zeroes it.
 	GlobalLock bool `json:"global_lock,omitempty"`
-	// Workers is the number of host goroutines driving sockets: 0 = one
-	// per active socket, 1 = fully sequential. Simulated outcomes are
-	// identical for every value.
+	// Workers is decoded and ignored: one goroutine drives the run.
+	// Committed records carry it; normalize zeroes it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -101,9 +97,7 @@ func (c Churn) normalize() Churn {
 	if c.Sockets <= 0 || c.Sockets > c.Machine.Sockets {
 		c.Sockets = c.Machine.Sockets
 	}
-	if c.Workers <= 0 || c.Workers > c.Sockets {
-		c.Workers = c.Sockets
-	}
+	c.GlobalLock, c.Workers = false, 0
 	return c
 }
 
@@ -145,8 +139,8 @@ func (c Churn) Validate() error {
 }
 
 // ChurnResult is a churn run's outcome. Every field except the Host*
-// figures and WallSec is deterministic — bit-identical across Workers
-// counts and lock modes — and is what replay verification compares.
+// figures, WallSec and Workers is deterministic — bit-identical run to
+// run — and is what replay verification compares.
 type ChurnResult struct {
 	// Churn is the normalized spec the run executed; the record replays
 	// from it alone.
@@ -176,13 +170,12 @@ type ChurnResult struct {
 	WallSec          float64 `json:"wall_sec"`
 	HostOpsPerSec    float64 `json:"host_ops_per_sec"`
 	HostFaultsPerSec float64 `json:"host_faults_per_sec"`
-	// Workers is the worker count actually used.
+	// Workers is the number of goroutines that drove the run: always 1.
 	Workers int `json:"workers"`
 }
 
-// churnSlot is one socket's live-process state. The coordinator mutates it
-// only at barriers; the socket's worker reads and advances cursors only
-// between barriers — the start/done channel handshake orders the two.
+// churnSlot is one socket's live-process state. Spawn and exit mutate it
+// only at barriers; a round advances its cursors between barriers.
 type churnSlot struct {
 	socket numa.SocketID
 	cores  []numa.CoreID
@@ -217,7 +210,6 @@ func RunChurn(c Churn) (*ChurnResult, error) {
 			k.Mem().Fragment(numa.NodeID(n), c.Fragmentation, r)
 		}
 	}
-	k.SetGlobalFaultLock(c.GlobalLock)
 	if c.Pressure > 0 {
 		// Leave node 0 only the unpressured share of one process's
 		// footprint above the floor: the storm crosses it Pressure of the
@@ -292,7 +284,7 @@ func RunChurn(c Churn) (*ChurnResult, error) {
 		return nil
 	}
 	// round advances one slot by one chunk per core, in canonical core
-	// order. It runs on the slot's worker goroutine.
+	// order.
 	totalPages := c.PagesPerProc + c.HugePages
 	round := func(sl *churnSlot) error {
 		live := false
@@ -325,96 +317,28 @@ func RunChurn(c Churn) (*ChurnResult, error) {
 
 	start := time.Now()
 	m.BeginSingleWriter()
-	for s := 0; s < c.Sockets && spawned < c.Procs; s++ {
-		if err := spawn(slots[s]); err != nil {
-			m.EndSingleWriter()
-			return nil, err
-		}
-	}
-	// Persistent per-socket workers; the coordinator drives rounds and
-	// performs all spawn/exit mutations at the barriers between them.
-	// Workers capped below the socket count simply multiplex slots.
-	type workerCh struct {
-		start chan []*churnSlot
-		done  chan error
-	}
-	var workers []workerCh
-	if c.Workers > 1 {
-		workers = make([]workerCh, c.Workers)
-		for w := range workers {
-			workers[w] = workerCh{start: make(chan []*churnSlot), done: make(chan error, 1)}
-			go func(ch workerCh) {
-				for batch := range ch.start {
-					var err error
-					for _, sl := range batch {
-						if e := round(sl); e != nil && err == nil {
-							err = e
-						}
-					}
-					ch.done <- err
-				}
-			}(workers[w])
-		}
-	}
 	var runErr error
-	for {
-		active := make([]*churnSlot, 0, len(slots))
+	for s := 0; s < c.Sockets && spawned < c.Procs && runErr == nil; s++ {
+		runErr = spawn(slots[s])
+	}
+	for runErr == nil {
+		live := false
 		for _, sl := range slots {
 			if sl.proc != nil {
-				active = append(active, sl)
-			}
-		}
-		if len(active) == 0 {
-			break
-		}
-		if workers == nil {
-			for _, sl := range active {
-				if err := round(sl); err != nil {
-					runErr = err
+				live = true
+				if runErr = round(sl); runErr != nil {
 					break
 				}
 			}
-		} else {
-			// Deal active slots to workers round-robin; each worker runs
-			// its share serially, so every socket still has exactly one
-			// goroutine driving it (the single-writer LLC discipline).
-			batches := make([][]*churnSlot, len(workers))
-			for i, sl := range active {
-				w := i % len(workers)
-				batches[w] = append(batches[w], sl)
-			}
-			for w := range workers {
-				if len(batches[w]) > 0 {
-					workers[w].start <- batches[w]
-				}
-			}
-			for w := range workers {
-				if len(batches[w]) > 0 {
-					if err := <-workers[w].done; err != nil && runErr == nil {
-						runErr = err
-					}
-				}
-			}
 		}
-		if runErr != nil {
+		if !live {
 			break
 		}
 		// Barrier: retire finished processes in canonical socket order.
-		for _, sl := range active {
-			if sl.done {
-				if err := retire(sl); err != nil {
-					runErr = err
-					break
-				}
+		for _, sl := range slots {
+			if runErr == nil && sl.proc != nil && sl.done {
+				runErr = retire(sl)
 			}
-		}
-		if runErr != nil {
-			break
-		}
-	}
-	if workers != nil {
-		for w := range workers {
-			close(workers[w].start)
 		}
 	}
 	m.EndSingleWriter()
@@ -423,7 +347,7 @@ func RunChurn(c Churn) (*ChurnResult, error) {
 	}
 	wall := time.Since(start).Seconds()
 
-	res := &ChurnResult{Churn: c, Spawned: spawned, Exited: exited, Workers: c.Workers, WallSec: wall}
+	res := &ChurnResult{Churn: c, Spawned: spawned, Exited: exited, Workers: 1, WallSec: wall}
 	for core := 0; core < topo.Cores(); core++ {
 		st := m.Stats(numa.CoreID(core))
 		res.Ops += st.Ops

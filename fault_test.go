@@ -267,8 +267,8 @@ func TestFaultDeterminismAcrossModes(t *testing.T) {
 
 // TestChurnPressureStorm: the churn Pressure knob sizes node 0 to exhaust
 // mid-storm, so socket 0's demand faults reclaim frames from node 1 —
-// fattening the latency tail — while outcomes stay bit-identical across
-// worker counts and both fault-lock modes.
+// fattening the latency tail — while outcomes stay bit-identical run to
+// run, the retired Workers and GlobalLock fields included.
 func TestChurnPressureStorm(t *testing.T) {
 	base := Churn{
 		Name:         "test-pressure",
@@ -299,26 +299,8 @@ func TestChurnPressureStorm(t *testing.T) {
 	if storm.P99 <= calm.P99 || storm.P99 <= storm.P50 {
 		t.Errorf("p99 %d (calm %d, p50 %d): pressure did not fatten the tail", storm.P99, calm.P99, storm.P50)
 	}
-	// Bit-identity across lock modes and worker counts, with the reclaim
-	// path live mid-storm.
-	for _, mut := range []func(*Churn){
-		func(c *Churn) { c.Workers = 1 },
-		func(c *Churn) { c.Workers = 2 },
-		func(c *Churn) { c.GlobalLock = true },
-		func(c *Churn) { c.GlobalLock = true; c.Workers = 1 },
-	} {
-		alt := stormSpec
-		mut(&alt)
-		got, err := RunChurn(alt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.DeterministicEquals(storm) {
-			t.Errorf("workers=%d globalLock=%v diverged under pressure:\nref: faults=%d cycles=%d hist=%v\ngot: faults=%d cycles=%d hist=%v",
-				alt.Workers, alt.GlobalLock, storm.Faults, storm.Cycles, storm.FaultHist,
-				got.Faults, got.Cycles, got.FaultHist)
-		}
-	}
+	// Bit-identity run to run, with the reclaim path live mid-storm.
+	checkChurnRepeats(t, stormSpec, storm)
 	// Validation: pressure needs a spill target.
 	bad := stormSpec
 	bad.Sockets = 1

@@ -40,8 +40,8 @@ type Backend struct {
 }
 
 // BackendStats counts replica maintenance work. The counters are bumped
-// with atomic adds: the fault path is sharded per process, so two
-// processes' page-table operations may increment them concurrently.
+// with atomic adds, so they stay safe for page-table operations made
+// outside the kernel's fault lock.
 // Read them only at quiescence (all simulated counters are reported from
 // quiescent points).
 type BackendStats struct {

@@ -11,11 +11,11 @@ import (
 // CanonicalChurn is the committed datacenter-churn run behind
 // BENCH_churn.json: 256 short-lived processes streamed across a 4-socket
 // machine, each fault-storming a 1MB 4KB region plus an 8MB THP region
-// before exiting. Every fault belongs to a different process per socket,
-// so the run concentrates exactly the multi-process fault contention the
-// sharded per-process fault lock removes; the THP region gives the
-// fault-latency histogram its heavy tail (a 2MB zeroing storm costs ~128x
-// a 4KB fault), so p99 sits two orders of magnitude above p50.
+// before exiting. Spawn, fault storm and exit repeat on every socket, so
+// the run concentrates the demand-fault, allocator and process-lifecycle
+// paths; the THP region gives the fault-latency histogram its heavy tail
+// (a 2MB zeroing storm costs ~128x a 4KB fault), so p99 sits two orders
+// of magnitude above p50.
 func CanonicalChurn() mitosis.Churn {
 	return mitosis.Churn{
 		Name:          "canonical",
@@ -37,23 +37,16 @@ func QuickChurn() mitosis.Churn {
 }
 
 // ChurnBench is the churn target's machine-readable payload: the full
-// replayable sharded-lock ChurnResult plus the host-side throughput
-// comparison against the same run under the legacy global fault lock.
+// replayable ChurnResult plus its host-side throughput.
 type ChurnBench struct {
-	// HostCPUs is runtime.NumCPU() on the measuring host — the context for
-	// judging Speedup: with a single host CPU the sharded and global runs
-	// serialize identically and the ratio only reflects lock overhead, not
-	// the parallelism the sharding buys on a multi-core host.
+	// HostCPUs is runtime.NumCPU() on the measuring host, the context for
+	// comparing throughput across records.
 	HostCPUs int `json:"host_cpus"`
-	// Workers is the number of host goroutines driving sockets.
-	Workers int `json:"workers"`
-	// ShardedOpsPerSec is the per-process-lock run's simulated ops per host
-	// second (best of churnReps) — the figure CI diffs against baseline.
+	// ShardedOpsPerSec is the run's simulated ops per host second (best of
+	// churnReps) — the figure CI diffs against baseline. The JSON key
+	// predates the single fault lock and is kept so committed records
+	// still serve as baselines.
 	ShardedOpsPerSec float64 `json:"sharded_ops_per_sec"`
-	// GlobalOpsPerSec is the same run under the machine-wide fault lock.
-	GlobalOpsPerSec float64 `json:"global_ops_per_sec"`
-	// Speedup is ShardedOpsPerSec / GlobalOpsPerSec.
-	Speedup float64 `json:"speedup_vs_global"`
 	// Faults and the percentiles summarize the (deterministic) simulated
 	// fault-latency distribution; the full histogram is in Churn.FaultHist.
 	Faults uint64 `json:"faults"`
@@ -62,8 +55,8 @@ type ChurnBench struct {
 	P99    uint64 `json:"fault_p99_cycles"`
 	// BaselineOpsPerSec is filled by ApplyBaseline from a reference record.
 	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec,omitempty"`
-	// Churn is the sharded run's full result: normalized spec, counters,
-	// histogram. It replays bit-identically from Churn.Churn.
+	// Churn is the best repetition's full result: normalized spec,
+	// counters, histogram. It replays bit-identically from Churn.Churn.
 	Churn *mitosis.ChurnResult `json:"churn"`
 }
 
@@ -71,67 +64,44 @@ type ChurnBench struct {
 type ChurnOptions struct {
 	// Quick selects the 16-process QuickChurn instead of CanonicalChurn.
 	Quick bool
-	// Workers overrides the host goroutine count (0 = one per socket).
-	Workers int
 }
 
-// churnReps is the number of repetitions per lock mode; the best one is
-// reported, stripping host-scheduler noise like the perf target does.
+// churnReps is the number of repetitions; the best one is reported,
+// stripping host-scheduler noise like the perf target does.
 const churnReps = 5
 
-// RunChurn executes the canonical (or quick) churn run under both fault-lock
-// modes and cross-checks that every repetition of either mode reproduces the
-// same simulated outcome bit-for-bit — the sharding's determinism contract —
-// before reporting the host-side throughput ratio.
+// RunChurn executes the canonical (or quick) churn run churnReps times
+// and cross-checks that every repetition reproduces the first's simulated
+// outcome bit-for-bit before reporting the best host-side throughput.
 func RunChurn(opt ChurnOptions) (*ChurnBench, error) {
 	spec := CanonicalChurn()
 	if opt.Quick {
 		spec = QuickChurn()
 	}
-	if opt.Workers > 0 {
-		spec.Workers = opt.Workers
-	}
-	measure := func(global bool) (*mitosis.ChurnResult, error) {
-		s := spec
-		s.GlobalLock = global
-		var best *mitosis.ChurnResult
-		for rep := 0; rep < churnReps; rep++ {
-			r, err := mitosis.RunChurn(s)
-			if err != nil {
-				return nil, err
-			}
-			if best == nil || r.HostOpsPerSec > best.HostOpsPerSec {
-				best = r
-			}
+	var first, best *mitosis.ChurnResult
+	for rep := 0; rep < churnReps; rep++ {
+		r, err := mitosis.RunChurn(spec)
+		if err != nil {
+			return nil, err
 		}
-		return best, nil
+		if first == nil {
+			first = r
+		} else if !r.DeterministicEquals(first) {
+			return nil, fmt.Errorf("churn %q: repetition %d disagrees with the first on simulated outcome", spec.Name, rep)
+		}
+		if best == nil || r.HostOpsPerSec > best.HostOpsPerSec {
+			best = r
+		}
 	}
-	sharded, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	global, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	if !sharded.DeterministicEquals(global) {
-		return nil, fmt.Errorf("churn %q: sharded and global-lock runs disagree on simulated outcome — the fault-lock sharding changed behavior", spec.Name)
-	}
-	b := &ChurnBench{
+	return &ChurnBench{
 		HostCPUs:         runtime.NumCPU(),
-		Workers:          sharded.Workers,
-		ShardedOpsPerSec: sharded.HostOpsPerSec,
-		GlobalOpsPerSec:  global.HostOpsPerSec,
-		Faults:           sharded.Faults,
-		P50:              sharded.P50,
-		P95:              sharded.P95,
-		P99:              sharded.P99,
-		Churn:            sharded,
-	}
-	if global.HostOpsPerSec > 0 {
-		b.Speedup = sharded.HostOpsPerSec / global.HostOpsPerSec
-	}
-	return b, nil
+		ShardedOpsPerSec: best.HostOpsPerSec,
+		Faults:           best.Faults,
+		P50:              best.P50,
+		P95:              best.P95,
+		P99:              best.P99,
+		Churn:            best,
+	}, nil
 }
 
 // ApplyBaseline fills the baseline column from a reference record.
@@ -139,7 +109,7 @@ func (b *ChurnBench) ApplyBaseline(ref *ChurnBench) {
 	b.BaselineOpsPerSec = ref.ShardedOpsPerSec
 }
 
-// Compare returns an error when the sharded throughput regressed below
+// Compare returns an error when the throughput regressed below
 // (1-tolerance) x the reference's. Like the perf and sweep tolerances it is
 // deliberately generous: baselines travel between hosts, so only structural
 // slowdowns should trip CI.
@@ -158,12 +128,10 @@ func (b *ChurnBench) Compare(ref *ChurnBench, tolerance float64) error {
 func (b *ChurnBench) String() string {
 	var s strings.Builder
 	c := b.Churn
-	fmt.Fprintf(&s, "Datacenter churn %q: %d procs over %d sockets, %d workers (host CPUs: %d)\n",
-		c.Churn.Name, c.Spawned, c.Churn.Sockets, b.Workers, b.HostCPUs)
-	fmt.Fprintf(&s, "  sharded fault lock: %12.0f sim-ops/s  (%.3fs wall, %d faults)\n",
+	fmt.Fprintf(&s, "Datacenter churn %q: %d procs over %d sockets (host CPUs: %d)\n",
+		c.Churn.Name, c.Spawned, c.Churn.Sockets, b.HostCPUs)
+	fmt.Fprintf(&s, "  throughput: %12.0f sim-ops/s  (%.3fs wall, %d faults)\n",
 		b.ShardedOpsPerSec, c.WallSec, b.Faults)
-	fmt.Fprintf(&s, "  global fault lock:  %12.0f sim-ops/s\n", b.GlobalOpsPerSec)
-	fmt.Fprintf(&s, "  sharded/global: %.2fx\n", b.Speedup)
 	fmt.Fprintf(&s, "  fault latency (sim cycles): p50=%d p95=%d p99=%d\n", b.P50, b.P95, b.P99)
 	if b.BaselineOpsPerSec > 0 {
 		fmt.Fprintf(&s, "  baseline: %.0f sim-ops/s (%.2fx)\n",

@@ -49,10 +49,9 @@ var ErrMachineCheck = errors.New("hw: machine check exception (poisoned frame)")
 // faulting core, outside walk cycles).
 //
 // The handler must be safe for concurrent calls from different cores:
-// concurrent AccessBatch callers and RunChurn's per-socket workers may
-// fault simultaneously on cores of *different processes*. The kernel implements
-// this with per-process fault locks (sharded mmap_sem) — faults of the
-// same process serialize, faults of different processes run concurrently.
+// concurrent AccessBatch callers may fault simultaneously. The kernel
+// implements this with one fault lock (its mmap_sem), so every fault
+// serializes.
 type FaultHandler interface {
 	HandleFault(core numa.CoreID, va pt.VirtAddr, write bool) (numa.Cycles, error)
 }

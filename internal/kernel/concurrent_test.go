@@ -12,7 +12,7 @@ import (
 
 // faultStormRun drives two processes on different sockets through a
 // demand-fault storm over fresh (non-populated) regions — every access is
-// a fault through the sharded per-process fault path — and returns the
+// a fault through the kernel's fault lock — and returns the
 // per-core counters plus the machine-wide fault-latency histogram.
 // With parallel=true each process is driven by its own goroutine, without
 // BeginSingleWriter, so the locked LLC and page-cache paths are exercised
@@ -94,13 +94,13 @@ func faultStormRun(t *testing.T, parallel bool) ([]hw.CoreStats, hw.FaultLatHist
 	return stats, k.machine.FaultLatency(), free
 }
 
-// TestConcurrentFaultStormDeterministic: the tentpole contract of the
-// sharded fault lock — two processes fault-storming concurrently from
-// different sockets produce exactly the simulated counters of the same
-// storm run sequentially, per core, including the fault-latency histogram
-// and per-node allocation volume. Run with -race this is also the data-race
-// stress for the concurrent fault path (per-process locks, per-node
-// allocator and page-cache locks, atomic current[] and backend counters).
+// TestConcurrentFaultStormDeterministic: two processes fault-storming
+// concurrently from different sockets produce exactly the simulated
+// counters of the same storm run sequentially, per core, including the
+// fault-latency histogram and per-node allocation volume. Run with -race
+// this is also the data-race stress for concurrent AccessBatch callers
+// (the kernel fault lock, per-node allocator and page-cache locks, atomic
+// backend counters).
 func TestConcurrentFaultStormDeterministic(t *testing.T) {
 	seqStats, seqHist, seqFree := faultStormRun(t, false)
 	for rep := 0; rep < 3; rep++ {

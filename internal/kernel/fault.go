@@ -18,26 +18,22 @@ var ErrPermission = errors.New("kernel: write to read-only mapping")
 // (which propagates to replicas when Mitosis is on), and returns the cycle
 // cost of the fault.
 //
-// The handler is re-entrant across cores: concurrent faults of the same
-// process serialize on that process's fault lock (its mmap_sem), while
-// faults of different processes proceed concurrently — they share no
-// address-space state, and the allocator/page-cache structures they do
-// share are locked per node. The already-mapped check in populateOne
-// resolves the race where two cores fault on the same page (the loser finds
-// the winner's translation and simply retries its walk).
+// The handler may be called from several cores at once (concurrent
+// AccessBatch callers): every fault takes the kernel's one fault lock on
+// entry, so faults serialize machine-wide. The already-mapped check in
+// populateOne resolves two cores faulting on the same page (the second
+// finds the first's translation and simply retries its walk).
 func (k *Kernel) HandleFault(core numa.CoreID, va pt.VirtAddr, write bool) (numa.Cycles, error) {
-	// The current[] slot is an atomic pointer: scheduling writes happen
-	// only at quiescent points, so the load needs no lock.
-	p := k.current[core].Load()
+	k.faultMu.Lock()
+	k.faultCore = core
+	defer func() {
+		k.faultCore = -1
+		k.faultMu.Unlock()
+	}()
+	p := k.current[core]
 	if p == nil {
 		return 0, ErrNoProcess
 	}
-	p.faultLock.Lock()
-	p.faultCore = core
-	defer func() {
-		p.faultCore = -1
-		p.faultLock.Unlock()
-	}()
 	v := p.findVMA(va)
 	if v == nil {
 		return k.costs.FaultEntry, fmt.Errorf("%w: %#x", ErrBadAddress, uint64(va))

@@ -14,7 +14,6 @@ package kernel
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
@@ -105,34 +104,25 @@ type Kernel struct {
 	sysctl core.Sysctl
 	thp    bool
 
-	// The fault path is sharded per process: each Process carries its own
-	// fault lock (its mmap_sem), so faults from different processes on
-	// different sockets proceed concurrently — they share no address-space
-	// state, and the structures they do share (per-node frame allocators,
-	// the per-node page-cache pools, backend counters) carry their own
-	// synchronization. See DESIGN.md "Lock hierarchy".
-	//
-	// reclaimMu is the one narrow global lock left on that path: it
-	// serializes memory-pressure replica reclaim, which walks *all*
-	// processes selecting victims and tearing replica rings down. Two
-	// concurrent OOM faults must not collapse the same victim twice.
-	reclaimMu sync.Mutex
-	// globalFault is the machine-wide fault lock of the pre-sharding
-	// design, kept as a measurement baseline: SetGlobalFaultLock(true)
-	// aliases every process's fault lock to this one mutex so the churn
-	// benchmark can quantify exactly what sharding buys (BENCH_churn.json
-	// records both modes). Simulated outcomes are identical either way.
-	globalFault     sync.Mutex
-	globalFaultLock bool
+	// faultMu is the kernel's one fault lock (its mmap_sem): HandleFault
+	// takes it on entry, so demand faults from every core and process
+	// serialize on it, and memory-pressure reclaim entered from a fault
+	// runs under it. Below it sit only the per-node frame-allocator and
+	// page-cache locks. See DESIGN.md "Lock hierarchy".
+	faultMu sync.Mutex
+	// faultCore is the core whose fault is being handled (valid only under
+	// faultMu; -1 otherwise). Reclaim on behalf of the faulting process
+	// exempts that core from the busy check: it is parked in the handler
+	// and re-reads CR3 when its walk retries.
+	faultCore numa.CoreID
 
 	nextPID  int
 	nextVMID int
 	procs    map[int]*Process
 	// current is the per-core scheduled process. Writes happen only at
-	// quiescent points (loadContexts, Deschedule, DestroyProcess); reads
-	// happen from concurrent fault handlers without any lock, so the slots
-	// are atomic pointers.
-	current   []atomic.Pointer[Process]
+	// quiescent points (loadContexts, Deschedule, DestroyProcess); the
+	// fault path reads it under faultMu.
+	current   []*Process
 	nextIntlv int // machine-wide interleave cursor for fresh processes
 }
 
@@ -170,17 +160,18 @@ func New(cfg Config) *Kernel {
 	})
 	cache := mem.NewPageCache(pm, 0)
 	k := &Kernel{
-		topo:    topo,
-		cost:    cost,
-		pm:      pm,
-		machine: machine,
-		backend: core.NewBackend(pm, cost, cache),
-		cache:   cache,
-		costs:   costs,
-		levels:  thw.Levels(),
-		nextPID: 1,
-		procs:   make(map[int]*Process),
-		current: make([]atomic.Pointer[Process], topo.Cores()),
+		topo:      topo,
+		cost:      cost,
+		pm:        pm,
+		machine:   machine,
+		backend:   core.NewBackend(pm, cost, cache),
+		cache:     cache,
+		costs:     costs,
+		levels:    thw.Levels(),
+		nextPID:   1,
+		procs:     make(map[int]*Process),
+		current:   make([]*Process, topo.Cores()),
+		faultCore: -1,
 	}
 	machine.SetFaultHandler(k)
 	return k
@@ -195,13 +186,10 @@ func New(cfg Config) *Kernel {
 // indistinguishable from a freshly built one.
 func (k *Kernel) Reset() {
 	clear(k.procs)
-	for i := range k.current {
-		k.current[i].Store(nil)
-	}
+	clear(k.current)
 	k.nextPID = 1
 	k.nextVMID = 0
 	k.nextIntlv = 0
-	k.globalFaultLock = false
 	k.sysctl = core.Sysctl{}
 	k.thp = false
 	k.cost.ClearLoads()
@@ -258,21 +246,9 @@ func (k *Kernel) HardwareGeometry() translate.Geometry {
 func (k *Kernel) Process(pid int) *Process { return k.procs[pid] }
 
 // CurrentOn returns the process scheduled on core, or nil.
-func (k *Kernel) CurrentOn(c numa.CoreID) *Process { return k.current[c].Load() }
+func (k *Kernel) CurrentOn(c numa.CoreID) *Process { return k.current[c] }
 
-// SetGlobalFaultLock selects between the sharded per-process fault locks
-// (the default) and the legacy machine-wide fault lock. With the global
-// lock, every process's fault path serializes on one mutex — the
-// pre-sharding mmap_sem behaviour kept as the churn benchmark's baseline.
-// Simulated counters are identical in both modes (the lock only changes
-// host-side concurrency); call it only at quiescence.
-func (k *Kernel) SetGlobalFaultLock(on bool) {
-	k.globalFaultLock = on
-	for _, p := range k.procs {
-		if on {
-			p.faultLock = &k.globalFault
-		} else {
-			p.faultLock = &p.ownFaultMu
-		}
-	}
-}
+// SetGlobalFaultLock does nothing: the kernel has one fault lock. It is
+// kept only for callers built against the former per-process/global lock
+// choice; simulated counters never depended on it.
+func (k *Kernel) SetGlobalFaultLock(bool) {}

@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
@@ -128,26 +127,6 @@ type Process struct {
 	nextMmap  pt.VirtAddr
 	intlvNext int
 
-	// ownFaultMu is the process's own fault lock — its mmap_sem. The fault
-	// path serializes per process: concurrent faults from this process's
-	// cores queue here, while faults of other processes proceed on their
-	// own locks. All mutable per-process state the fault path touches
-	// (mapper, space, VMAs, Meter, intlvNext, faultCore) is protected by
-	// it; the shared structures below it (per-node frame allocators,
-	// page-cache pools) carry their own locks. See DESIGN.md "Lock
-	// hierarchy".
-	ownFaultMu sync.Mutex
-	// faultLock is the lock the fault path actually takes: normally
-	// &ownFaultMu, but aliased to the kernel's one global mutex when the
-	// legacy machine-wide fault lock is selected (SetGlobalFaultLock).
-	faultLock *sync.Mutex
-	// faultCore is the core whose fault this process is currently handling
-	// (valid only under faultLock; -1 otherwise). Memory-pressure reclaim
-	// may tear down this process's own replicas when its only busy core is
-	// the faulting one — that core is parked in the handler and re-reads
-	// CR3 when its walk retries.
-	faultCore numa.CoreID
-
 	// Meter accumulates the kernel work done on behalf of the process.
 	Meter pvops.Meter
 }
@@ -170,12 +149,6 @@ func (k *Kernel) CreateProcess(opts ProcessOpts) (*Process, error) {
 		home:         opts.Home,
 		dataLocality: opts.DataLocality,
 		nextMmap:     mmapBase,
-		faultCore:    -1,
-	}
-	if k.globalFaultLock {
-		p.faultLock = &k.globalFault
-	} else {
-		p.faultLock = &p.ownFaultMu
 	}
 	k.nextPID++
 
@@ -218,8 +191,8 @@ func (k *Kernel) CreateProcess(opts ProcessOpts) (*Process, error) {
 // page-table pages and replicas, and releases its cores.
 func (k *Kernel) DestroyProcess(p *Process) {
 	for _, c := range p.cores {
-		if k.current[c].Load() == p {
-			k.current[c].Store(nil)
+		if k.current[c] == p {
+			k.current[c] = nil
 			k.machine.ClearContext(c)
 		}
 	}

@@ -17,15 +17,15 @@ import (
 // affected processes fall back to walking the primary remotely until
 // replication is re-enabled. It returns the number of frames freed.
 //
-// When invoked from the concurrent fault path, processes with a core
-// mid-batch (other than the caller's own faulting core) are skipped:
-// collapsing them would free replica pages their walkers may still hold
-// pointers into, and reloading their CR3s would race with the running
-// batches. A real kernel would quiesce those CPUs with IPIs; the simulator
-// instead leaves such replicas in place and lets the allocation fail if
-// nothing else is reclaimable. Processes mid-incremental-replication are
-// skipped for the same structural reason: the copy job holds references
-// into the rings a collapse would free.
+// When invoked from the fault path, processes with a core mid-batch
+// (other than the faulting core itself) are skipped: collapsing them would
+// free replica pages their walkers may still hold pointers into, and
+// reloading their CR3s would race with the running batches. A real kernel
+// would quiesce those CPUs with IPIs; the simulator instead leaves such
+// replicas in place and lets the allocation fail if nothing else is
+// reclaimable. Processes mid-incremental-replication are skipped for the
+// same structural reason: the copy job holds references into the rings a
+// collapse would free.
 //
 // A process with an attached replication-policy engine is reclaimed on the
 // policy's terms: only the replica nodes its ReclaimAdvisor volunteers are
@@ -38,23 +38,10 @@ func (k *Kernel) ReclaimReplicas() uint64 {
 // reclaimReplicas is the implementation behind ReclaimReplicas. caller is
 // the process on whose behalf memory is being allocated (nil when invoked
 // directly at quiescence): its own faulting core is exempt from the busy
-// check, and its own fault lock — already held when we arrive from the
-// fault path — is never re-acquired.
-//
-// With the fault path sharded per process, reclaim is the one remaining
-// cross-process writer: it serializes globally on reclaimMu (two
-// concurrent OOM faults must not collapse the same victim twice), and
-// before touching another process's space it must exclude that process's
-// own fault path. It does so with TryLock on the victim's fault lock:
-// blocking there could deadlock (the victim might be in *its* fault path
-// waiting on the same allocator this reclaim is trying to refill), so a
-// victim whose lock is contended is simply skipped — its replicas count as
-// pinned, exactly like a victim with a busy core. At quiescence the
-// TryLock always succeeds, so single-process scenarios and all committed
-// benchmark records behave bit-identically to the pre-sharding design.
+// check. Entered from the fault path it runs under the kernel's fault
+// lock, which excludes every other process's fault path; otherwise it
+// runs at quiescence, like every other syscall.
 func (k *Kernel) reclaimReplicas(caller *Process) uint64 {
-	k.reclaimMu.Lock()
-	defer k.reclaimMu.Unlock()
 	var before uint64
 	for n := 0; n < k.topo.Nodes(); n++ {
 		before += k.pm.FreeFrames(numa.NodeID(n))
@@ -69,31 +56,11 @@ func (k *Kernel) reclaimReplicas(caller *Process) uint64 {
 	slices.Sort(pids)
 	for _, pid := range pids {
 		p := k.procs[pid]
-		if !p.space.Replicated() {
-			continue
-		}
-		// Exclude the victim's own fault path. The caller's lock (own
-		// process, or every process in global-fault-lock mode, where all
-		// processes alias one mutex the caller already holds) is exempt:
-		// the exclusion it provides is already in force.
-		locked := false
-		if caller == nil || p.faultLock != caller.faultLock {
-			if !p.faultLock.TryLock() {
-				continue
-			}
-			locked = true
-		}
-		if k.replicaHolderBusy(p, caller) {
-			if locked {
-				p.faultLock.Unlock()
-			}
+		if !p.space.Replicated() || k.replicaHolderBusy(p, caller) {
 			continue
 		}
 		victims := reclaimVictims(p)
 		if len(victims) == 0 {
-			if locked {
-				p.faultLock.Unlock()
-			}
 			continue
 		}
 		keep := slices.DeleteFunc(slices.Clone(p.space.Mask()), func(n numa.NodeID) bool {
@@ -105,9 +72,6 @@ func (k *Kernel) reclaimReplicas(caller *Process) uint64 {
 		}
 		p.requestedMask = slices.Clone(p.space.Mask())
 		k.reloadContexts(p)
-		if locked {
-			p.faultLock.Unlock()
-		}
 	}
 	// The reservation pool is the next victim.
 	k.cache.Drain()
@@ -136,16 +100,15 @@ func reclaimVictims(p *Process) []numa.NodeID {
 // mid-copy (its job queue holds frames a collapse would free). When p is
 // the caller's own process, the core whose fault is being handled is
 // exempt — it is parked in the handler and re-reads CR3 on walk retry.
-// faultCore is per-process state guarded by the process's fault lock,
-// which the caller holds for its own process on the fault path (and which
-// reclaim TryLocks for every other candidate before calling this).
+// faultCore is guarded by the kernel's fault lock, which the caller holds
+// on the fault path (at quiescence it is -1).
 func (k *Kernel) replicaHolderBusy(p, caller *Process) bool {
 	if p.bgRepl > 0 {
 		return true
 	}
 	exempt := numa.CoreID(-1)
 	if p == caller {
-		exempt = p.faultCore
+		exempt = k.faultCore
 	}
 	for _, c := range p.cores {
 		if c != exempt && k.machine.CoreBusy(c) {

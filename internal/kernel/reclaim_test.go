@@ -275,12 +275,11 @@ func TestBackgroundReplicationKernelFlow(t *testing.T) {
 }
 
 // TestReclaimFaultCoreIsPerProcess: the faulting-core exemption reclaim
-// grants a caller must cover exactly the caller's own fault. Before the
-// fault path was sharded per process the kernel kept one machine-wide
-// "currently faulting core" slot, so one process's in-flight fault could
-// exempt a busy core while reclaim ran on behalf of a *different* process
-// — collapsing replicas under a walker. faultCore is now per-process
-// state guarded by that process's fault lock; this pins the semantics.
+// grants a caller must cover exactly the caller's own fault. The kernel
+// keeps one "currently faulting core" slot under its fault lock, and
+// reclaim consults it only for the caller's own process: if it applied to
+// every process, one process's in-flight fault could exempt a busy core of
+// a *different* process — collapsing replicas under a walker.
 func TestReclaimFaultCoreIsPerProcess(t *testing.T) {
 	k := newTestKernel(t)
 	k.Sysctl().Mode = core.ModePerProcess
@@ -305,11 +304,11 @@ func TestReclaimFaultCoreIsPerProcess(t *testing.T) {
 	coreA, coreB := a.Cores()[0], b.Cores()[0]
 	release := parkCores(t, k, coreA, coreB)
 
-	// a is mid-fault on coreA: the handler records the core under a's
-	// fault lock before reaching the allocator, exactly as HandleFault
-	// does on the path that leads into reclaim.
-	a.faultLock.Lock()
-	a.faultCore = coreA
+	// a is mid-fault on coreA: the handler records the core under the
+	// kernel's fault lock before reaching the allocator, exactly as
+	// HandleFault does on the path that leads into reclaim.
+	k.faultMu.Lock()
+	k.faultCore = coreA
 	if k.replicaHolderBusy(a, a) {
 		t.Error("caller's own faulting core not exempt from the busy check")
 	}
@@ -325,21 +324,12 @@ func TestReclaimFaultCoreIsPerProcess(t *testing.T) {
 	if !b.Space().Replicated() {
 		t.Error("reclaim collapsed replicas under a process with a busy core")
 	}
-	a.faultCore = -1
-	a.faultLock.Unlock()
+	k.faultCore = -1
+	k.faultMu.Unlock()
 	release[coreA]()
 	release[coreB]()
 
-	// With all cores quiescent, a victim whose fault lock is contended
-	// (its fault path is between the busy-check window and completion) is
-	// skipped rather than blocked on — and is reclaimed normally once the
-	// lock frees.
-	b.faultLock.Lock()
-	k.ReclaimReplicas()
-	if !b.Space().Replicated() {
-		t.Error("reclaim collapsed a victim whose fault lock was held")
-	}
-	b.faultLock.Unlock()
+	// With all cores quiescent, b's replicas are no longer pinned.
 	k.ReclaimReplicas()
 	if b.Space().Replicated() {
 		t.Error("replicas survived reclaim at quiescence")

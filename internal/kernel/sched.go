@@ -12,13 +12,13 @@ import (
 // not in the new set are released.
 func (k *Kernel) RunOn(p *Process, cores []numa.CoreID) error {
 	for _, c := range cores {
-		if cur := k.current[c].Load(); cur != nil && cur != p {
+		if cur := k.current[c]; cur != nil && cur != p {
 			return fmt.Errorf("kernel: core %d busy with pid %d", c, cur.PID)
 		}
 	}
 	for _, c := range p.cores {
 		if !containsCore(cores, c) {
-			k.current[c].Store(nil)
+			k.current[c] = nil
 			k.machine.ClearContext(c)
 		}
 	}
@@ -48,8 +48,8 @@ func (k *Kernel) RunOnAllSockets(p *Process) error {
 // Deschedule removes p from all cores.
 func (k *Kernel) Deschedule(p *Process) {
 	for _, c := range p.cores {
-		if k.current[c].Load() == p {
-			k.current[c].Store(nil)
+		if k.current[c] == p {
+			k.current[c] = nil
 			k.machine.ClearContext(c)
 		}
 	}
@@ -62,7 +62,7 @@ func (k *Kernel) Deschedule(p *Process) {
 // dimensions once gPT/ePT replicas exist.
 func (k *Kernel) loadContexts(p *Process) {
 	for _, c := range p.cores {
-		k.current[c].Store(p)
+		k.current[c] = p
 		s := k.topo.SocketOf(c)
 		if p.guest != nil {
 			k.machine.LoadVirtContext(c, p.guest.GuestRootFor(s), p.vm.vm.NestedRootFor(s), 4, p.vm.vm.NestedLevels())
@@ -106,7 +106,7 @@ func (k *Kernel) MigrateProcess(p *Process, target numa.SocketID, opts MigrateOp
 		targetCores = targetCores[:n]
 	}
 	for _, c := range targetCores {
-		if cur := k.current[c].Load(); cur != nil && cur != p {
+		if cur := k.current[c]; cur != nil && cur != p {
 			return fmt.Errorf("kernel: target core %d busy with pid %d", c, cur.PID)
 		}
 	}

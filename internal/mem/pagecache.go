@@ -17,12 +17,12 @@ import (
 // allocator, and freed page-table frames refill the pool up to its target
 // size.
 //
-// The pools are locked per node, mirroring the frame allocator: the fault
-// path is sharded per process, so page-table pages of different processes
-// may be allocated and freed concurrently. The per-node pools are LIFO
-// stacks, and processes faulting on different sockets touch different
-// pools (first-touch page-table placement), so the locks cost nothing on
-// the common path and the pop/push order per node stays deterministic.
+// The pools are locked per node, mirroring the frame allocator, so they
+// stay safe for callers outside the kernel's fault lock. The per-node
+// pools are LIFO stacks, and processes faulting on different sockets
+// touch different pools (first-touch page-table placement), so the locks
+// cost nothing on the common path and the pop/push order per node stays
+// deterministic.
 type PageCache struct {
 	pm     *PhysMem
 	target uint64 // per-node target size in frames
@@ -159,9 +159,7 @@ func (pc *PageCache) Reset() {
 }
 
 // Drain releases all reserved frames back to the allocator.
-// Drain may race with concurrent per-process fault paths allocating from
-// other nodes' pools (memory-pressure reclaim calls it), so it takes each
-// node's lock like the hot-path entry points.
+// It takes each node's lock like the hot-path entry points.
 func (pc *PageCache) Drain() {
 	for n := range pc.pools {
 		pc.mus[n].Lock()

@@ -7,8 +7,7 @@ import (
 )
 
 // TestRunLeaksNoGoroutines pins that the Run loop, the sweep runner's
-// pool and the churn engine's per-socket workers leave no goroutines
-// behind: a sweep-scale caller executes hundreds of
+// pool and the churn loop leave no goroutines behind: a sweep-scale caller executes hundreds of
 // runs per invocation, so even one leaked goroutine per run would
 // accumulate into thousands.
 func TestRunLeaksNoGoroutines(t *testing.T) {
@@ -41,8 +40,8 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	if _, err := RunSweep(sw, WithSweepWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
-	// The churn engine keeps persistent per-socket worker goroutines for
-	// the duration of each run; repeated runs must wind them all down.
+	// Repeated churn runs, each booting or recycling a pooled machine,
+	// must leave nothing running either.
 	ch := Churn{
 		Name:         "leak",
 		Machine:      sc.Machine,
